@@ -4,14 +4,14 @@ Times the same Fig. 7-family frequency-grid campaign through each
 execution strategy, oldest first, so the tracked benchmark history
 shows what every layer bought:
 
-* ``serial_seed`` — the pre-engine baseline: legacy serial loop with
-  probe-at-a-time bisection and a fresh model per point;
-* ``batched`` — the same serial loop with multi-RHS batched ladder
-  probes (one (n, k) triangular-solve block per probe round);
-* ``workers2`` — the parallel engine at 2 processes (batched probes
-  plus the shared bounded model cache), which additionally asserts the
-  engine guarantee: its checkpoint is byte-identical to the serial
-  one after stripping the timestamped manifest.
+* ``serial_seed`` — one worker (inline) with probe-at-a-time
+  bisection;
+* ``batched`` — one worker with multi-RHS batched ladder probes (one
+  (n, k) triangular-solve block per probe round);
+* ``workers2`` — batched probes on 2 worker processes, which
+  additionally asserts the engine guarantee: its checkpoint is
+  byte-identical to the one-worker one after stripping the timestamped
+  manifest.
 
 ``scripts/bench_to_json.py`` measures the same trajectory on the full
 Figs. 7/8 grids and emits ``BENCH_parallel.json`` for the CI artifact
@@ -89,13 +89,13 @@ def _stripped(checkpoint: Path) -> str:
 
 
 def test_campaign_serial_seed(benchmark, tmp_path):
-    result, _ = benchmark(run_campaign, tmp_path, workers=None,
+    result, _ = benchmark(run_campaign, tmp_path, workers=1,
                           probe_batch=1)
     assert result.summary()["failed"] == 0
 
 
 def test_campaign_batched(benchmark, tmp_path):
-    result, _ = benchmark(run_campaign, tmp_path, workers=None)
+    result, _ = benchmark(run_campaign, tmp_path, workers=1)
     assert result.summary()["failed"] == 0
 
 
@@ -106,12 +106,12 @@ def test_campaign_workers2(benchmark, tmp_path):
 
 def test_workers_checkpoint_matches_serial(tmp_path, save_artifact):
     """The engine guarantee the benches ride on: same bytes, any workers."""
-    _, serial_cp = run_campaign(tmp_path / "serial", workers=None)
+    _, serial_cp = run_campaign(tmp_path / "serial", workers=1)
     _, w2_cp = run_campaign(tmp_path / "w2", workers=2)
     identical = _stripped(serial_cp) == _stripped(w2_cp)
     save_artifact(
         "parallel_campaign_identity",
-        f"serial vs --workers 2 checkpoint "
+        f"one worker vs --workers 2 checkpoint "
         f"({len(CHIPS) * len(COOLS)} points, manifest stripped): "
         f"{'identical' if identical else 'DIVERGED'}")
     assert identical

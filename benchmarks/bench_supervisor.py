@@ -6,10 +6,10 @@ message protocol on top of raw process pools. This bench pins down the
 two numbers that trade-off turns on:
 
 * **overhead** — the same no-fault chunked map through the supervised
-  pool (``ParallelConfig(supervised=True)``, the default everywhere)
-  vs the retained bare ``ProcessPoolExecutor`` path
-  (``supervised=False``). The acceptance bar is < 5% supervision
-  overhead on a CPU-bound workload;
+  pool (what ``run_chunked`` runs above one worker) vs a bare
+  ``ProcessPoolExecutor`` mapping the same chunks
+  (:func:`bare_pool.bare_map`). The acceptance bar is < 5%
+  supervision overhead on a CPU-bound workload;
 * **recovery latency** — extra wall-clock a run pays when a worker is
   SIGKILLed once mid-chunk (``worker_kill`` with ``max_fires=1``): the
   supervisor must notice the death, restart the worker after backoff,
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 
+from bare_pool import bare_map, spin
 from repro.parallel import ParallelConfig, run_chunked
 from repro.resilience.faults import FaultSpec, ProcessFaultPlan
 
@@ -35,25 +36,17 @@ ITEMS = list(range(24))
 REPEAT = 3
 
 
-def _spin(payload: int, item: int) -> int:
-    """Deterministic CPU-bound unit of work (module-level: picklable)."""
-    acc = item & 0xFFFFFFFF
-    for _ in range(payload):
-        acc = (acc * 1664525 + 1013904223) & 0xFFFFFFFF
-    return acc
-
-
-def _config(*, supervised: bool) -> ParallelConfig:
-    return ParallelConfig(workers=2, chunk_size=2, supervised=supervised,
-                          heartbeat_interval_s=0.2)
-
-
-def run_map(*, supervised: bool, fault_plan=None):
-    """One chunked map (the timed unit)."""
-    return run_chunked(ITEMS, _spin, SPIN,
-                       config=_config(supervised=True) if supervised
-                       else _config(supervised=False),
+def run_map(*, fault_plan=None):
+    """One supervised chunked map (the timed unit)."""
+    return run_chunked(ITEMS, spin, SPIN,
+                       config=ParallelConfig(workers=2, chunk_size=2,
+                                             heartbeat_interval_s=0.2),
                        fault_plan=fault_plan)
+
+
+def run_bare():
+    """The same chunks on a bare executor (the baseline)."""
+    return bare_map(ITEMS, spin, SPIN, workers=2, chunk_size=2)
 
 
 def _best_of(fn, repeat: int = REPEAT) -> float:
@@ -65,23 +58,23 @@ def _best_of(fn, repeat: int = REPEAT) -> float:
     return best
 
 
-EXPECTED = [_spin(SPIN, i) for i in ITEMS]
+EXPECTED = [spin(SPIN, i) for i in ITEMS]
 
 
 def test_supervised_map(benchmark):
-    results = benchmark(run_map, supervised=True)
+    results = benchmark(run_map)
     assert results == EXPECTED
 
 
 def test_bare_executor_map(benchmark):
-    results = benchmark(run_map, supervised=False)
+    results = benchmark(run_bare)
     assert results == EXPECTED
 
 
 def test_supervision_overhead_under_5pct(save_artifact):
     """The acceptance bar: heartbeats + monitor cost < 5% with no faults."""
-    bare = _best_of(lambda: run_map(supervised=False))
-    supervised = _best_of(lambda: run_map(supervised=True))
+    bare = _best_of(run_bare)
+    supervised = _best_of(run_map)
     overhead = supervised / bare - 1.0
     save_artifact(
         "supervisor_overhead",
@@ -102,9 +95,9 @@ KILL_ONE = ProcessFaultPlan(
 
 def test_recovery_latency_after_kill(save_artifact):
     """Wall-clock cost of one SIGKILL: detect, restart, replay."""
-    clean = _best_of(lambda: run_map(supervised=True))
+    clean = _best_of(run_map)
     t0 = time.perf_counter()
-    results = run_map(supervised=True, fault_plan=KILL_ONE)
+    results = run_map(fault_plan=KILL_ONE)
     faulted = time.perf_counter() - t0
     recovery = max(0.0, faulted - clean)
     save_artifact(

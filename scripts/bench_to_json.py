@@ -5,16 +5,16 @@
 campaign (the Figs. 7/8 families) through each execution strategy the
 engine stacked up, oldest first:
 
-* ``serial_seed``   — the pre-engine baseline: legacy serial loop,
-  probe-at-a-time bisection, a fresh model per point;
-* ``batched``       — legacy serial loop with multi-RHS batched ladder
-  probes (:meth:`ThermalNetwork.solve_many`);
-* ``workers_N``     — the parallel engine at N processes (batched
-  probes + the shared bounded model cache), for each requested N.
+* ``serial_seed``   — one worker (inline), probe-at-a-time bisection;
+* ``batched``       — one worker with multi-RHS batched ladder probes
+  (:meth:`ThermalNetwork.solve_many`);
+* ``workers_N``     — batched probes on N worker processes, for each
+  requested N.
 
-It also verifies the engine's core guarantee — the ``--workers 2``
-checkpoint is byte-identical to the serial one once the (timestamped)
-manifest is stripped — and records the outcome in the JSON.
+It also verifies the engine's core guarantee — the first ``workers_N``
+checkpoint is byte-identical to the one-worker one once the
+(timestamped) manifest is stripped — and records the outcome in the
+JSON.
 
 ``--bench response`` times the same frequency-ladder campaigns through
 the superposition kernel's power-to-temperature strategies —
@@ -37,8 +37,9 @@ unique config hash was computed exactly once
 (``completed_total == unique_specs``).
 
 ``--bench supervisor`` times the same CPU-bound chunked map through
-the supervised pool (the default execution path) and the retained bare
-``ProcessPoolExecutor`` path, then replays it with one seeded
+the supervised pool (the multi-worker execution path) and through a
+bare ``ProcessPoolExecutor`` mapping the same chunks
+(``benchmarks/bare_pool.py``), then replays it with one seeded
 ``worker_kill`` fault. It emits the supervision overhead fraction and
 the crash-recovery latency, and exits nonzero unless the overhead is
 below 5%, the faulted run's results are identical to the clean run's,
@@ -205,14 +206,14 @@ def bench_grid(grid: str, chip: str, max_chips: int,
     with tempfile.TemporaryDirectory() as tmpdir:
         store = Path(tmpdir) / "opstore"
         with _response_env(store=store):
-            _run_campaign(points, workers=None,
+            _run_campaign(points, workers=1,
                           probe_batch=freqopt.DEFAULT_PROBE_BATCH,
                           tmpdir=tmpdir)       # warm the operator store
             modes["serial_seed"], serial_cp = _time_mode(
-                points, workers=None, probe_batch=1, tmpdir=tmpdir,
+                points, workers=1, probe_batch=1, tmpdir=tmpdir,
                 repeat=repeat)
             modes["batched"], _ = _time_mode(
-                points, workers=None,
+                points, workers=1,
                 probe_batch=freqopt.DEFAULT_PROBE_BATCH, tmpdir=tmpdir,
                 repeat=repeat)
             identical = None
@@ -281,12 +282,12 @@ def bench_response_grid(grid: str, chip: str, max_chips: int,
 
         with _response_env(disable=True):
             modes["sparse_perstep"], sparse_cp = _time_mode(
-                points, workers=None, probe_batch=1, tmpdir=tmpdir,
+                points, workers=1, probe_batch=1, tmpdir=tmpdir,
                 repeat=repeat_fast)
             sparse_frontier = Path(tmpdir) / "sparse_frontier.json"
             shutil.copy(sparse_cp, sparse_frontier)
             modes["sparse_batched"], _ = _time_mode(
-                points, workers=None, probe_batch=probe, tmpdir=tmpdir,
+                points, workers=1, probe_batch=probe, tmpdir=tmpdir,
                 repeat=repeat_fast)
 
         with _response_env(store=store):
@@ -294,14 +295,14 @@ def bench_response_grid(grid: str, chip: str, max_chips: int,
             # multi-RHS operator build per geometry
             shutil.rmtree(store, ignore_errors=True)
             t0 = time.perf_counter()
-            _run_campaign(points, workers=None, probe_batch=probe,
+            _run_campaign(points, workers=1, probe_batch=probe,
                           tmpdir=tmpdir)
             modes["response_cold"] = time.perf_counter() - t0
 
             # warm: the store the cold run left behind — mmap loads
             # and dense matvecs, no sparse solver at all
             modes["response_warm"], warm_cp = _time_mode(
-                points, workers=None, probe_batch=probe, tmpdir=tmpdir,
+                points, workers=1, probe_batch=probe, tmpdir=tmpdir,
                 repeat=repeat_fast)
             matches = _frontier_matches(sparse_frontier, warm_cp,
                                         temp_tol=1e-6)
@@ -489,39 +490,34 @@ def run_serve(args) -> int:
     return 0 if ok else 1
 
 
-def _spin_item(payload: int, item: int) -> int:
-    """Deterministic CPU-bound unit of work for the supervisor bench."""
-    acc = item & 0xFFFFFFFF
-    for _ in range(payload):
-        acc = (acc * 1664525 + 1013904223) & 0xFFFFFFFF
-    return acc
-
-
 def bench_supervisor(args) -> dict:
     """Supervision overhead (no faults) + recovery latency (one kill)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                           / "benchmarks"))
+    from bare_pool import bare_map, spin
     from repro.obs import get_registry
     from repro.parallel import ParallelConfig, run_chunked
     from repro.resilience.faults import FaultSpec, ProcessFaultPlan
 
     items = list(range(24))
 
-    def run(*, supervised: bool, fault_plan=None):
-        cfg = ParallelConfig(workers=2, chunk_size=2,
-                             supervised=supervised)
-        return run_chunked(items, _spin_item, args.spin,
+    def run(fault_plan=None):
+        cfg = ParallelConfig(workers=2, chunk_size=2)
+        return run_chunked(items, spin, args.spin,
                            config=cfg, fault_plan=fault_plan)
 
-    def best(**kw) -> float:
+    def best(fn) -> float:
         t = float("inf")
         for _ in range(max(1, args.repeat)):
             t0 = time.perf_counter()
-            run(**kw)
+            fn()
             t = min(t, time.perf_counter() - t0)
         return t
 
-    expected = [_spin_item(args.spin, i) for i in items]
-    bare = best(supervised=False)
-    supervised = best(supervised=True)
+    expected = [spin(args.spin, i) for i in items]
+    bare = best(lambda: bare_map(items, spin, args.spin, workers=2,
+                                 chunk_size=2))
+    supervised = best(run)
     overhead = supervised / bare - 1.0
 
     # probability=0.1, seed=31 fires on exactly one of this workload's
@@ -532,7 +528,7 @@ def bench_supervisor(args) -> dict:
         seed=31)
     before = get_registry().snapshot().get("counters", {})
     t0 = time.perf_counter()
-    faulted_results = run(supervised=True, fault_plan=plan)
+    faulted_results = run(fault_plan=plan)
     faulted = time.perf_counter() - t0
     after = get_registry().snapshot().get("counters", {})
     deltas = {name: after.get(name, 0) - before.get(name, 0)

@@ -630,10 +630,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_chip(p, default="low-power-cmp")
     p.add_argument("--max-chips", type=int, default=15)
     p.add_argument("--cooling", nargs="*", default=None)
-    p.add_argument("--workers", type=int, default=None, metavar="N",
+    p.add_argument("--workers", type=int, default=1, metavar="N",
                    help="evaluate sweep points over N worker processes "
-                        "(default: in-process serial; results are "
-                        "identical either way)")
+                        "(default 1: in-process; results are identical "
+                        "at every worker count)")
     add_response_cache(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -683,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cooling", nargs="*", default=None)
     p.add_argument("--checkpoint", default="campaign.json",
                    help="JSON checkpoint path (rewritten after every "
-                        "point)")
+                        "chunk of points)")
     p.add_argument("--resume", action="store_true",
                    help="skip points already finished in the checkpoint; "
                         "re-attempt failed ones")
@@ -701,14 +701,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "'singular:0.5' 'timeout:0.3:2'")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for fault injection and retry jitter")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="run the campaign on the parallel engine with "
-                        "N worker processes (N=1 runs the engine "
-                        "inline); records, checkpoints, and ledgers "
-                        "are identical at every worker count")
+    p.add_argument("--workers", type=int, default=1, metavar="N",
+                   help="worker processes (default 1: inline, no "
+                        "pool); records, checkpoints, and ledgers are "
+                        "identical at every worker count")
     p.add_argument("--chunk-size", type=int, default=None, metavar="K",
                    help="points per scheduled chunk; the checkpoint is "
-                        "rewritten after each chunk (default: auto)")
+                        "rewritten after each chunk (default: auto, at "
+                        "most 8; 1 = after every point)")
     add_response_cache(p)
     p.set_defaults(func=_cmd_campaign)
 

@@ -7,8 +7,9 @@ instead executes the grid point by point with
 
 * per-point retry/backoff and graceful degradation
   (:mod:`repro.resilience`);
-* a JSON checkpoint rewritten atomically after every point, so a
-  killed campaign resumes without recomputing finished work;
+* a JSON checkpoint rewritten atomically after every chunk of points
+  (at most 8 by default), so a killed campaign resumes without
+  recomputing finished work;
 * a structured failure ledger (config, exception class, rungs tried,
   attempts) instead of an abort;
 * provenance on every record: which ladder rung produced it, whether
@@ -26,13 +27,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from collections import Counter as _KeyCounter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from ..durable import quarantine, write_atomic
 from ..errors import (
     CheckpointError,
     ConfigurationError,
@@ -71,7 +72,7 @@ def _payload_digest(payload: dict) -> str:
     """SHA-256 over the checkpoint's *stable* content.
 
     The manifest is excluded: it carries timestamps and host facts, and
-    serial-vs-parallel byte comparisons strip it already. Everything
+    cross-worker-count byte comparisons strip it already. Everything
     resume actually consumes — version, points, ledger — is covered.
     """
     stable = {"version": payload.get("version"),
@@ -90,26 +91,32 @@ def verify_checkpoint(path: str | os.PathLike) -> dict:
     embedded checksum. Pre-checksum checkpoints (no ``checksum`` key)
     validate structurally with ``checksum_ok=None``.
     """
-    p = Path(path)
+    data, records, ledger = _read_checkpoint(Path(path))
+    return {"version": data["version"], "points": len(records),
+            "ledger_entries": len(ledger),
+            "checksum_ok": (True if data.get("checksum") is not None
+                            else None)}
+
+
+def _read_checkpoint(path: Path) -> tuple[dict, dict[str, "PointRecord"],
+                                          list["LedgerEntry"]]:
+    """Strictly parse one checkpoint file (raises CheckpointError)."""
     try:
-        data = json.loads(p.read_text())
+        data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(
-            f"cannot read checkpoint {p}: {exc}") from exc
+            f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise CheckpointError(f"checkpoint {p} is not a JSON object")
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
     if data.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"checkpoint {p} has version {data.get('version')!r}, "
+            f"checkpoint {path} has version {data.get('version')!r}, "
             f"expected {CHECKPOINT_VERSION}")
-    checksum_ok: bool | None = None
     stored = data.get("checksum")
-    if stored is not None:
-        checksum_ok = stored == _payload_digest(data)
-        if not checksum_ok:
-            raise CheckpointError(
-                f"checkpoint {p} failed its SHA-256 checksum — "
-                f"truncated or torn write")
+    if stored is not None and stored != _payload_digest(data):
+        raise CheckpointError(
+            f"checkpoint {path} failed its SHA-256 checksum — "
+            f"truncated or torn write")
     try:
         records = {k: PointRecord.from_dict(v)
                    for k, v in data.get("points", {}).items()}
@@ -117,10 +124,9 @@ def verify_checkpoint(path: str | os.PathLike) -> dict:
                   for e in data.get("ledger", [])]
     except (TypeError, KeyError, ValueError, AttributeError) as exc:
         raise CheckpointError(
-            f"checkpoint {p} has malformed records: "
+            f"checkpoint {path} has malformed records: "
             f"{type(exc).__name__}: {exc}") from exc
-    return {"version": data["version"], "points": len(records),
-            "ledger_entries": len(ledger), "checksum_ok": checksum_ok}
+    return data, records, ledger
 
 
 @dataclass(frozen=True)
@@ -357,21 +363,16 @@ class CampaignResult:
 
 def evaluate_point(point: CampaignPoint,
                    resilience: ResilienceOptions,
-                   params: PackageParams = DEFAULT_PACKAGE, *,
-                   share_models: bool = False) -> PointRecord:
+                   params: PackageParams = DEFAULT_PACKAGE) -> PointRecord:
     """Evaluate one grid point through the degradation ladder.
 
     This is the default evaluator; :class:`CampaignRunner` accepts any
     callable with this signature (tests substitute counting wrappers).
-    ``share_models`` routes the sparse-LU rung through the bounded
-    :class:`~repro.thermal.hotspot.ModelCache` so repeated geometries
-    reuse their factorization (see :func:`~repro.resilience.degrade.
-    freq_point_rungs`); results are identical either way.
     """
     ladder = DegradationLadder(freq_point_rungs(
         point.chip, point.n_chips, point.cooling,
         threshold_c=point.threshold_c, params=params,
-        injector=resilience.injector, share_models=share_models))
+        injector=resilience.injector))
     with span("thermal.ladder", key=point.key):
         outcome = ladder.run(retry_policy=resilience.retry_policy,
                              sleep=resilience.sleep,
@@ -424,15 +425,6 @@ def evaluate_point(point: CampaignPoint,
         npb_time_s=times,
         perf_rung=perf.rung,
     )
-
-
-def _evaluate_point_shared(point: CampaignPoint,
-                           resilience: ResilienceOptions,
-                           params: PackageParams = DEFAULT_PACKAGE
-                           ) -> PointRecord:
-    """:func:`evaluate_point` with the model cache on (module-level so
-    pool workers can pickle it)."""
-    return evaluate_point(point, resilience, params, share_models=True)
 
 
 class _PointTimeout:
@@ -505,8 +497,8 @@ def _evaluate_guarded(point: CampaignPoint,
 
     The single source of truth for how an evaluation outcome maps to a
     (:class:`PointRecord`, optional :class:`LedgerEntry`) pair — the
-    serial loop and every pool worker go through here, which is what
-    makes parallel and serial checkpoints byte-identical.
+    inline run and every pool worker go through here, which is what
+    makes checkpoints byte-identical at every worker count.
     """
     try:
         with span("campaign.point", key=point.key, kind=point.kind):
@@ -533,13 +525,13 @@ def _evaluate_guarded(point: CampaignPoint,
 
 @dataclass(frozen=True)
 class _WorkerPayload:
-    """Everything a pool worker needs to evaluate campaign points.
+    """Everything the chunk task needs to evaluate campaign points.
 
     Rebuilt per process (the ``sleep`` callable and shared injector of
     :class:`~repro.resilience.ResilienceOptions` cannot cross a pickle
-    boundary): per-point injectors are derived in the worker from
-    ``fault_seed`` and the point key, so the stream a point sees does
-    not depend on scheduling.
+    boundary): per-point injectors are derived from ``fault_seed`` and
+    the point key, so the stream a point sees does not depend on
+    scheduling.
     """
 
     evaluator: Callable
@@ -575,7 +567,8 @@ _PROCESS_TIMEOUT: _PointTimeout | None = None
 
 
 def _process_timeout(timeout_s: float | None) -> _PointTimeout:
-    """The process-wide timeout runner for pool workers."""
+    """The process-wide timeout runner of the chunk task (its helper
+    thread is reused by later runs in the same process)."""
     global _PROCESS_TIMEOUT
     if (_PROCESS_TIMEOUT is None
             or _PROCESS_TIMEOUT.timeout_s != timeout_s):
@@ -587,7 +580,7 @@ def _process_timeout(timeout_s: float | None) -> _PointTimeout:
 
 def _eval_point_task(payload: _WorkerPayload, point: CampaignPoint
                      ) -> tuple[PointRecord, LedgerEntry | None]:
-    """The pool task: one guarded point evaluation (module-level for
+    """The chunk task: one guarded point evaluation (module-level for
     pickling)."""
     return _evaluate_guarded(
         point, _point_resilience(payload, point), payload.params,
@@ -610,35 +603,24 @@ class CampaignRunner:
             failure (the thread itself cannot be killed; the budget
             bounds how long the campaign *waits*, not the solver).
         evaluator: override for the per-point evaluation (tests). Must
-            be picklable (module-level) when ``workers`` is set.
-        workers: None = the legacy in-process loop (shared injector
-            state, checkpoint after every point). An int >= 1 selects
-            the :mod:`repro.parallel` engine: per-point injector
-            streams derived from (seed, point key), chunked scheduling,
-            checkpoint after every chunk — and identical results,
-            checkpoints, and ledgers at every worker count. Note the
-            stream split changes fault *budget* scope: ``max_fires``
-            caps fires per point on the engine path, but across the
-            whole campaign (in visit order) on the legacy path — a
-            global budget is order-dependent and cannot survive
-            parallel scheduling.
-        chunk_size: points per scheduled chunk (None = auto).
-        share_models: route the default evaluator's sparse-LU rung
-            through the bounded :class:`~repro.thermal.hotspot.
-            ModelCache` so points revisiting one geometry (retries,
-            mixed freq+npb grids) reuse the factorization. None (the
-            default) enables it exactly when the parallel engine is
-            selected (``workers`` set); the legacy serial path keeps
-            its deliberate fresh-build behaviour. Results are identical
-            either way — only ``thermal.model_cache_*`` counters and
-            wall-clock change. Ignored for custom evaluators.
+            be picklable (module-level) when a pool runs it.
+        workers: worker processes. Pending points are cut into chunks;
+            at 1 (the default) the chunks run inline — no pool, no
+            pickling — and above 1 they run on the supervised pool of
+            :mod:`repro.parallel`. Records, checkpoints and ledgers are
+            identical at every worker count: each point draws its
+            faults from an injector stream derived from (seed, point
+            key), so fault budgets (``max_fires``) apply per point, and
+            the checkpoint is rebuilt in grid order after every chunk.
+        chunk_size: points per chunk, and so per checkpoint rewrite
+            (None = auto, at most 8; 1 checkpoints after every point).
         process_faults: optional
             :class:`~repro.resilience.faults.ProcessFaultPlan` executed
-            inside the pool workers (``repro chaos``). Requires
-            ``workers`` — process faults are meaningless without the
-            supervised pool to recover from them. Chunks that crash
-            their worker past the quarantine threshold land in the
-            ledger as ``poison`` points instead of aborting the run.
+            inside pool workers (``repro chaos``). A plan always runs
+            the supervised pool, even at one worker, since it is what
+            recovers from them. Chunks that crash their worker past the
+            quarantine threshold land in the ledger as ``poison``
+            points instead of aborting the run.
         chunk_timeout_s: wall-clock budget per *chunk* enforced by the
             supervisor — unlike ``point_timeout_s`` (a worker-thread
             wait bound), blowing this budget kills and restarts the
@@ -654,12 +636,12 @@ class CampaignRunner:
             inherit it and warm each other's operators across runs.
 
     The campaign config hash deliberately excludes ``workers``,
-    ``chunk_size``, ``share_models``, ``response_cache_dir``, and the
-    supervision timeouts: execution strategy changes how fast the
-    answer arrives, not what it is, and ledger entries from a 4-worker
-    re-run must tie to the same manifest as the serial original. ``process_faults`` *is*
-    hashed (only when set — existing hashes are unchanged): injected
-    crashes change which points finish.
+    ``chunk_size``, ``response_cache_dir``, and the supervision
+    timeouts: execution strategy changes how fast the answer arrives,
+    not what it is, and ledger entries from a 4-worker re-run must tie
+    to the same manifest as the one-worker original.
+    ``process_faults`` *is* hashed (only when set — existing hashes are
+    unchanged): injected crashes change which points finish.
     """
 
     def __init__(self, points: tuple[CampaignPoint, ...] |
@@ -671,9 +653,8 @@ class CampaignRunner:
                  evaluator: Callable[[CampaignPoint, ResilienceOptions,
                                       PackageParams],
                                      PointRecord] | None = None,
-                 workers: int | None = None,
+                 workers: int = 1,
                  chunk_size: int | None = None,
-                 share_models: bool | None = None,
                  process_faults=None,
                  chunk_timeout_s: float | None = None,
                  heartbeat_timeout_s: float | None = 30.0,
@@ -682,12 +663,8 @@ class CampaignRunner:
                  ) -> None:
         if not points:
             raise ConfigurationError("a campaign needs at least one point")
-        if workers is not None and workers < 1:
-            raise ConfigurationError("workers must be >= 1 or None")
-        if process_faults is not None and workers is None:
-            raise ConfigurationError(
-                "process_faults requires workers (the supervised pool "
-                "is what recovers from them)")
+        if workers < 1:
+            raise ConfigurationError("workers must be >= 1")
         keys = [p.key for p in points]
         counts = _KeyCounter(keys)
         if len(counts) != len(keys):
@@ -713,14 +690,8 @@ class CampaignRunner:
         # serializing once per identity, not once per checkpoint
         # rewrite (which is O(points) per finished point)
         self._record_dicts: dict[str, tuple[PointRecord, dict, str]] = {}
-        self.share_models = (share_models if share_models is not None
-                             else workers is not None)
-        if evaluator is not None:
-            self.evaluator = evaluator
-        elif self.share_models:
-            self.evaluator = _evaluate_point_shared
-        else:
-            self.evaluator = evaluate_point
+        self.evaluator = (evaluator if evaluator is not None
+                          else evaluate_point)
         policy = self.resilience.retry_policy
         self._campaign_config = {
             "points": sorted(keys),
@@ -768,44 +739,10 @@ class CampaignRunner:
 
     # -- checkpoint I/O -----------------------------------------------------
 
-    def _read_checkpoint(self, path: Path
-                         ) -> tuple[dict[str, PointRecord],
-                                    list[LedgerEntry]]:
-        """Strictly parse one checkpoint file (raises CheckpointError)."""
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(
-                f"cannot read checkpoint {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise CheckpointError(
-                f"checkpoint {path} is not a JSON object")
-        if data.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {path} has version {data.get('version')!r}, "
-                f"expected {CHECKPOINT_VERSION}")
-        stored = data.get("checksum")
-        if stored is not None and stored != _payload_digest(data):
-            raise CheckpointError(
-                f"checkpoint {path} failed its SHA-256 checksum — "
-                f"truncated or torn write")
-        try:
-            records = {k: PointRecord.from_dict(v)
-                       for k, v in data.get("points", {}).items()}
-            ledger = [LedgerEntry.from_dict(e)
-                      for e in data.get("ledger", [])]
-        except (TypeError, KeyError, ValueError, AttributeError) as exc:
-            raise CheckpointError(
-                f"checkpoint {path} has malformed records: "
-                f"{type(exc).__name__}: {exc}") from exc
-        return records, ledger
-
     def _quarantine_file(self, path: Path) -> None:
         """Rotate an unreadable checkpoint aside as ``<name>.corrupt``."""
-        corrupt = path.with_name(path.name + ".corrupt")
-        try:
-            os.replace(path, corrupt)
-        except OSError:
+        corrupt = quarantine(path)
+        if corrupt is None:
             return
         counter("checkpoint.corrupt").inc()
         log_event("checkpoint_corrupt", path=str(path),
@@ -825,7 +762,7 @@ class CampaignRunner:
         if path is None or not path.exists():
             return {}, []
         try:
-            return self._read_checkpoint(path)
+            return _read_checkpoint(path)[1:]
         except CheckpointError as exc:
             log_event("checkpoint_unreadable", path=str(path),
                       error=str(exc), level=0)
@@ -833,7 +770,7 @@ class CampaignRunner:
         backup = path.with_name(path.name + ".bak")
         if backup.exists():
             try:
-                records, ledger = self._read_checkpoint(backup)
+                _, records, ledger = _read_checkpoint(backup)
             except CheckpointError as exc:
                 log_event("checkpoint_backup_unreadable",
                           path=str(backup), error=str(exc), level=0)
@@ -850,7 +787,7 @@ class CampaignRunner:
                       record: PointRecord) -> tuple[PointRecord, dict, str]:
         """One record's serialized forms, computed once per identity.
 
-        Checkpoints rewrite every finished record after every point;
+        Checkpoints rewrite every finished record after every chunk;
         the records themselves are frozen, so the deep ``asdict`` walk
         and the ``indent=1`` JSON rendering are hoisted here and only
         re-run when a key's record object is actually replaced (e.g. a
@@ -894,12 +831,13 @@ class CampaignRunner:
                           manifest: dict | None = None) -> None:
         """Crash-consistent checkpoint rewrite.
 
-        Write order is the recovery contract: temp file → fsync →
+        Write order is the recovery contract
+        (:func:`repro.durable.write_atomic`): temp file → fsync →
         rotate the previous good checkpoint to ``.bak`` → atomic
         ``os.replace``. A torn write can lose at most the generation
         being written; :meth:`_load_checkpoint` then falls back to
         ``.bak``. The temp file is unlinked on any failure (including
-        a ``json.dump`` that dies mid-write).
+        an encoding error mid-write).
         """
         path = self.checkpoint_path
         if path is None:
@@ -913,20 +851,11 @@ class CampaignRunner:
         payload["checksum"] = _payload_digest(payload)
         if manifest is not None:
             payload["manifest"] = manifest
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                                   prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(self._encode_checkpoint(payload, records))
-                fh.flush()
-                os.fsync(fh.fileno())
-            if path.exists():
-                os.replace(path, path.with_name(path.name + ".bak"))
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        write_atomic(
+            path,
+            lambda fh: fh.write(
+                self._encode_checkpoint(payload, records).encode()),
+            backup=path.with_name(path.name + ".bak"))
         if manifest is not None:
             write_manifest(manifest, self.manifest_path())
 
@@ -966,52 +895,15 @@ class CampaignRunner:
         if resume:
             records, ledger = self._load_checkpoint()
         with span("campaign.run", n_points=len(self.points),
-                  config_hash=self.config_hash,
-                  workers=self.workers or 0):
-            if self.workers is None:
-                records, ledger, evaluated, skipped = \
-                    self._run_serial(records, ledger, t0)
-            else:
-                records, ledger, evaluated, skipped = \
-                    self._run_parallel(records, ledger, t0)
+                  config_hash=self.config_hash, workers=self.workers):
+            records, ledger, evaluated, skipped = \
+                self._execute(records, ledger, t0)
         manifest = self._manifest(records, ledger,
                                   time.perf_counter() - t0)
         return CampaignResult(records=records, ledger=tuple(ledger),
                               evaluated=evaluated, skipped=skipped,
                               checkpoint_path=self.checkpoint_path,
                               manifest=manifest)
-
-    def _run_serial(self, records: dict[str, PointRecord],
-                    ledger: list[LedgerEntry], t0: float):
-        """The legacy in-process loop: shared injector state, one
-        checkpoint rewrite per point, one hoisted timeout executor."""
-        evaluated = 0
-        skipped = 0
-        timeout = _PointTimeout(self.point_timeout_s)
-        try:
-            for point in self.points:
-                prior = records.get(point.key)
-                if prior is not None and prior.finished:
-                    skipped += 1
-                    counter("campaign.points_skipped").inc()
-                    continue
-                if prior is not None:          # re-attempting a failure
-                    ledger = [e for e in ledger if e.key != point.key]
-                evaluated += 1
-                record, entry = _evaluate_guarded(
-                    point, self.resilience, self.params, self.evaluator,
-                    timeout, self.config_hash)
-                if entry is not None:
-                    ledger.append(entry)
-                records[point.key] = record
-                self._note_record(record)
-                self._write_checkpoint(
-                    records, ledger,
-                    self._manifest(records, ledger,
-                                   time.perf_counter() - t0))
-        finally:
-            timeout.close()
-        return records, ledger, evaluated, skipped
 
     def _worker_payload(self, *, picklable: bool) -> _WorkerPayload:
         injector = self.resilience.injector
@@ -1029,16 +921,18 @@ class CampaignRunner:
             sleep=None if picklable else self.resilience.sleep,
         )
 
-    def _run_parallel(self, loaded: dict[str, PointRecord],
-                      loaded_ledger: list[LedgerEntry], t0: float):
-        """The :mod:`repro.parallel` engine path.
+    def _execute(self, loaded: dict[str, PointRecord],
+                 loaded_ledger: list[LedgerEntry], t0: float):
+        """Evaluate every pending point through :func:`~repro.parallel.
+        run_chunked`.
 
-        Pending points are chunked over a process pool; per-point
-        injector streams are derived from (campaign seed, point key),
-        so every worker count produces the same records. The
-        checkpoint is rewritten after every completed *chunk*, rebuilt
-        each time in grid order from the accumulated results so the
-        bytes never depend on chunk completion order.
+        Pending points are chunked (inline at one worker, over the
+        supervised pool above that); per-point injector streams are
+        derived from (campaign seed, point key), so every worker count
+        produces the same records. The checkpoint is rewritten after
+        every completed chunk, rebuilt each time in grid order from the
+        accumulated results so the bytes never depend on chunk
+        completion order.
         """
         from ..parallel import ParallelConfig, run_chunked
 
@@ -1064,8 +958,8 @@ class CampaignRunner:
                     ledger.append(entry)
             return records, ledger
 
-        def quarantine(point: CampaignPoint, poisoned
-                       ) -> tuple[PointRecord, LedgerEntry]:
+        def poison_record(point: CampaignPoint, poisoned
+                          ) -> tuple[PointRecord, LedgerEntry]:
             """A Poisoned marker (chunk crashed its worker past the
             threshold) becomes a ``poison`` record + ledger entry."""
             counter("campaign.points_quarantined").inc()
@@ -1087,12 +981,12 @@ class CampaignRunner:
         def on_chunk(done) -> None:
             # run_chunked indexes into the pending list; keep the
             # accumulator keyed by *grid* index so ledger entries land
-            # in grid order, matching the serial loop.
+            # in grid order.
             from ..parallel import Poisoned
             for pending_idx, result in done:
                 if isinstance(result, Poisoned):
-                    record, entry = quarantine(pending[pending_idx][1],
-                                               result)
+                    record, entry = poison_record(
+                        pending[pending_idx][1], result)
                 else:
                     record, entry = result
                 computed[pending[pending_idx][0]] = (record, entry)
@@ -1108,16 +1002,13 @@ class CampaignRunner:
                                 task_timeout_s=self.chunk_timeout_s,
                                 heartbeat_timeout_s=self.heartbeat_timeout_s,
                                 max_task_crashes=self.max_point_crashes)
+        pooled = self.workers > 1 or self.process_faults is not None
         run_chunked([p for _, p in pending], _eval_point_task,
-                    self._worker_payload(picklable=self.workers > 1),
+                    self._worker_payload(picklable=pooled),
                     config=config, on_chunk=on_chunk,
                     fault_plan=self.process_faults)
-        # run_chunked returns results positionally over *pending*; map
-        # them back to grid indices via the computed dict (already
-        # filled by on_chunk).
         # on_chunk already folded every result into `computed` and
-        # checkpointed; assemble once more for the returned state (like
-        # the serial path, a fully-skipped run leaves the checkpoint
-        # file untouched).
+        # checkpointed; assemble once more for the returned state (a
+        # fully-skipped run leaves the checkpoint file untouched).
         records, ledger = assemble()
         return records, ledger, len(pending), skipped

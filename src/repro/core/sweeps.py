@@ -102,7 +102,7 @@ def frequency_vs_chips(chip_name: str, chips: tuple[int, ...],
                        *, threshold_c: float | None = None,
                        params: PackageParams = DEFAULT_PACKAGE,
                        resilience: "ResilienceOptions | None" = None,
-                       workers: int | None = None
+                       workers: int = 1
                        ) -> tuple[FrequencySeries, ...]:
     """Max frequency vs stack height for several cooling options.
 
@@ -113,14 +113,14 @@ def frequency_vs_chips(chip_name: str, chips: tuple[int, ...],
     0.0 GHz entry tagged ``"failed"`` instead of aborting the sweep.
 
     ``workers`` fans the independent (cooling, height) points over the
-    :mod:`repro.parallel` pool; the returned series are identical to a
-    serial run (the points share nothing). Resilient sweeps stay
+    :mod:`repro.parallel` pool; the returned series are identical at
+    every worker count (the points share nothing). Resilient sweeps stay
     serial — their injector/retry streams are a shared sequence by
     design; use :class:`~repro.core.campaign.CampaignRunner` with
     ``workers`` for parallel fault-tolerant grids.
     """
     if resilience is not None:
-        if workers is not None:
+        if workers != 1:
             raise ConfigurationError(
                 "resilient sweeps are serial; use CampaignRunner("
                 "workers=...) for parallel fault-tolerant grids")
@@ -129,15 +129,11 @@ def frequency_vs_chips(chip_name: str, chips: tuple[int, ...],
             params=params, resilience=resilience)
     items = [(cooling, n) for cooling in coolings for n in chips]
     with span("sweep.frequency_vs_chips", chip=chip_name,
-              n_points=len(items), workers=workers or 0):
-        if workers is None:
-            freqs = [_freq_point_task((chip_name, threshold_c, params),
-                                      item) for item in items]
-        else:
-            from ..parallel import ParallelConfig, run_chunked
-            freqs = run_chunked(items, _freq_point_task,
-                                (chip_name, threshold_c, params),
-                                config=ParallelConfig(workers=workers))
+              n_points=len(items), workers=workers):
+        from ..parallel import ParallelConfig, run_chunked
+        freqs = run_chunked(items, _freq_point_task,
+                            (chip_name, threshold_c, params),
+                            config=ParallelConfig(workers=workers))
     out = []
     for i, cooling in enumerate(coolings):
         block = freqs[i * len(chips):(i + 1) * len(chips)]
@@ -216,7 +212,7 @@ def _h_point_task(payload, h: float) -> float:
 def temperature_vs_h(chip_name: str, h_values: tuple[float, ...],
                      *, n_chips: int = 4,
                      params: PackageParams = DEFAULT_PACKAGE,
-                     workers: int | None = None
+                     workers: int = 1
                      ) -> HSweepSeries:
     """Maximum stack temperature vs coolant heat-transfer coefficient.
 
@@ -229,13 +225,10 @@ def temperature_vs_h(chip_name: str, h_values: tuple[float, ...],
     payload = (chip_name, n_chips, params)
     hs = [float(h) for h in h_values]
     with span("sweep.temperature_vs_h", chip=chip_name,
-              n_points=len(hs), workers=workers or 0):
-        if workers is None:
-            temps = [_h_point_task(payload, h) for h in hs]
-        else:
-            from ..parallel import ParallelConfig, run_chunked
-            temps = run_chunked(hs, _h_point_task, payload,
-                                config=ParallelConfig(workers=workers))
+              n_points=len(hs), workers=workers):
+        from ..parallel import ParallelConfig, run_chunked
+        temps = run_chunked(hs, _h_point_task, payload,
+                            config=ParallelConfig(workers=workers))
     return HSweepSeries(chip=chip_name, h_values=tuple(hs),
                         max_temp_c=tuple(temps))
 

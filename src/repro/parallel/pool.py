@@ -1,4 +1,4 @@
-"""Chunked process-pool execution with deterministic result ordering.
+"""Chunked execution with deterministic result ordering.
 
 The engine is deliberately generic: callers hand it a list of items, a
 module-level function ``fn(payload, item) -> result``, and a picklable
@@ -16,14 +16,13 @@ Three properties the rest of the system relies on:
   ``on_chunk`` fires as each chunk completes, which is where the
   campaign runner rewrites its checkpoint. Chunk size trades
   scheduling overhead against checkpoint granularity.
-* **Worker metrics repatriation** — each chunk returns the delta of
-  the worker's metrics registry, and the parent folds it into its own
-  (:meth:`repro.obs.metrics.MetricsRegistry.merge_snapshot`), so
-  worker-side solver counters land in campaign manifests. When the
-  parent tracer is enabled, finished worker spans travel the same
-  channel and are merged with :meth:`repro.obs.Tracer.adopt_spans`,
-  remote-parented to the span open at submit time — one Chrome trace
-  covers every contributing process.
+* **Supervised workers** — above one worker, chunks run on the
+  :class:`~repro.parallel.supervisor.SupervisedPool`, which restarts
+  crashed or hung workers and quarantines chunks that keep crashing.
+  Each chunk returns the delta of the worker's metrics registry (and,
+  when the parent tracer is enabled, its finished spans), so worker
+  counters land in campaign manifests and one Chrome trace covers
+  every contributing process.
 
 ``workers=1`` runs every chunk inline — no pool, no pickling — and is
 the reference the multi-worker paths are tested bit-for-bit against.
@@ -33,13 +32,11 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ..errors import ConfigurationError
-from ..obs import (counter, get_registry, get_tracer, histogram, log_event,
-                   span)
+from ..obs import counter, histogram, log_event, span
 
 __all__ = [
     "ParallelConfig",
@@ -61,14 +58,9 @@ class ParallelConfig:
         start_method: multiprocessing start method (None = ``fork``
             where available — cheap and inherits imports — else the
             platform default).
-        supervised: run multi-worker chunks under the supervision
-            tree (:mod:`repro.parallel.supervisor`) — crash/hang
-            detection, restart, quarantine. ``False`` keeps the bare
-            executor (bench comparison only; a worker crash then
-            aborts the whole run).
-        heartbeat_interval_s: worker heartbeat period (supervised).
+        heartbeat_interval_s: worker heartbeat period.
         heartbeat_timeout_s: silence budget before a worker is
-            declared hung (None disables; supervised only).
+            declared hung (None disables).
         task_timeout_s: wall-clock budget per chunk before its worker
             is killed and the chunk retried (None disables).
         max_task_crashes: crash count at which a chunk is quarantined
@@ -78,7 +70,6 @@ class ParallelConfig:
     workers: int = 1
     chunk_size: int | None = None
     start_method: str | None = None
-    supervised: bool = True
     heartbeat_interval_s: float = 0.2
     heartbeat_timeout_s: float | None = 30.0
     task_timeout_s: float | None = None
@@ -166,56 +157,6 @@ def snapshot_delta(before: dict[str, Any],
     return out
 
 
-# -- worker side -------------------------------------------------------------
-
-_WORKER_FN: Callable[[Any, Any], Any] | None = None
-_WORKER_PAYLOAD: Any = None
-
-
-def _init_worker(fn: Callable[[Any, Any], Any], payload: Any) -> None:
-    """Pool initializer: pin the task function and payload per process.
-
-    Also resets the tracer a forked child inherited from its parent —
-    without this a worker would repatriate copies of spans the parent
-    already holds, duplicating them in the merged trace. Tracing is
-    re-enabled per task when a trace context arrives with it.
-    """
-    global _WORKER_FN, _WORKER_PAYLOAD
-    _WORKER_FN = fn
-    _WORKER_PAYLOAD = payload
-    tracer = get_tracer()
-    tracer.disable()
-    tracer.reset()
-
-
-def _run_chunk(chunk: list[tuple[int, Any]],
-               trace_ctx: dict[str, Any] | None = None
-               ) -> tuple[list[tuple[int, Any]], dict[str, Any], float,
-                          list[dict[str, Any]]]:
-    """Evaluate one chunk in a worker; returns results + metrics delta
-    (+ finished span dicts when a trace context was shipped)."""
-    assert _WORKER_FN is not None, "worker not initialized"
-    registry = get_registry()
-    tracer = get_tracer()
-    if trace_ctx is not None:
-        tracer.enabled = True
-        tracer.set_remote_parent(trace_ctx.get("parent_id"))
-    before = registry.snapshot()
-    t0 = time.perf_counter()
-    results = []
-    with tracer.span("supervisor.chunk", items=len(chunk)):
-        for idx, item in chunk:
-            with tracer.span("worker.point", index=idx):
-                results.append((idx, _WORKER_FN(_WORKER_PAYLOAD, item)))
-    wall = time.perf_counter() - t0
-    spans = tracer.drain_span_dicts() if trace_ctx is not None else []
-    if trace_ctx is not None:
-        tracer.set_remote_parent(None)
-    return results, snapshot_delta(before, registry.snapshot()), wall, spans
-
-
-# -- parent side -------------------------------------------------------------
-
 def run_chunked(items: Sequence[Any],
                 fn: Callable[[Any, Any], Any],
                 payload: Any, *,
@@ -266,11 +207,9 @@ def run_chunked(items: Sequence[Any],
                 results.update(done)
                 if on_chunk is not None:
                     on_chunk(done)
-        elif cfg.supervised or fault_plan is not None:
+        else:
             _run_supervised(chunks, fn, payload, cfg, results,
                             on_chunk, fault_plan)
-        else:
-            _run_pool(chunks, fn, payload, cfg, results, on_chunk)
     return [results[i] for i in range(n)]
 
 
@@ -313,32 +252,3 @@ def _run_supervised(chunks, fn, payload, cfg: ParallelConfig,
                 results.update(done)
                 if on_chunk is not None:
                     on_chunk(done)
-
-
-def _run_pool(chunks, fn, payload, cfg: ParallelConfig,
-              results: dict[int, Any],
-              on_chunk) -> None:
-    registry = get_registry()
-    tracer = get_tracer()
-    trace_ctx = tracer.propagation_context()
-    ctx = cfg.context()
-    with ProcessPoolExecutor(max_workers=cfg.workers,
-                             mp_context=ctx,
-                             initializer=_init_worker,
-                             initargs=(fn, payload)) as pool:
-        pending = {pool.submit(_run_chunk, chunk, trace_ctx)
-                   for chunk in chunks}
-        while pending:
-            finished, pending = wait(pending,
-                                     return_when=FIRST_COMPLETED)
-            for fut in finished:
-                done, metrics_delta, wall, spans = fut.result()
-                with span("parallel.chunk_merge", items=len(done)):
-                    registry.merge_snapshot(metrics_delta)
-                    if spans:
-                        tracer.adopt_spans(spans)
-                        counter("trace.spans_repatriated").inc(len(spans))
-                    _note_chunk(done, wall, inline=False)
-                    results.update(done)
-                    if on_chunk is not None:
-                        on_chunk(done)

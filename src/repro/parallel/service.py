@@ -8,9 +8,9 @@ keeps a :class:`~repro.parallel.supervisor.SupervisedPool` warm behind
 a ``submit(item) -> Future`` interface while preserving the guarantees
 the batch engine established:
 
-* the task function and payload are pinned per process through the
-  same ``_init_worker`` initializer, so serve workers and campaign
-  workers are interchangeable task targets;
+* workers start through the same supervised worker entry as the
+  batch engine's, so serve workers and campaign workers are
+  interchangeable task targets;
 * every item repatriates the *delta* of its worker-side metrics
   registry (:func:`~repro.parallel.pool.snapshot_delta`), merged into
   the parent registry on completion, so served requests show up in

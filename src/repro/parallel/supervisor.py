@@ -1,10 +1,10 @@
 """Supervised worker pool: crash/hang recovery and poison quarantine.
 
-The bare :class:`~concurrent.futures.ProcessPoolExecutor` the engine
-started on has one fatal property for months-long campaigns: a single
-worker segfault, OOM-kill, or hang raises ``BrokenProcessPool`` and
-aborts the whole run. :class:`SupervisedPool` replaces it with a
-supervision tree in the datacenter tradition:
+A bare :class:`~concurrent.futures.ProcessPoolExecutor` has one fatal
+property for months-long campaigns: a single worker segfault,
+OOM-kill, or hang raises ``BrokenProcessPool`` and aborts the whole
+run. :class:`SupervisedPool` is a supervision tree in the datacenter
+tradition instead:
 
 * every worker owns a duplex pipe to the supervisor and sends
   **heartbeats** from a background thread at a fixed interval;
@@ -137,6 +137,18 @@ class Poisoned:
 
 # -- worker side -------------------------------------------------------------
 
+def _init_worker() -> None:
+    """Reset the tracer a forked child inherited from its parent.
+
+    Without this a worker would repatriate copies of spans the parent
+    already holds, duplicating them in the merged trace. Tracing is
+    re-enabled per task when a trace context arrives with it.
+    """
+    tracer = get_tracer()
+    tracer.disable()
+    tracer.reset()
+
+
 def _worker_main(conn, fn: Callable[[Any, Any], Any], payload: Any,
                  heartbeat_interval_s: float, fault_plan) -> None:
     """Worker process entry: heartbeat thread + task loop.
@@ -154,8 +166,8 @@ def _worker_main(conn, fn: Callable[[Any, Any], Any], payload: Any,
     the finished span dicts ride back on the ``done`` message beside
     the metrics delta.
     """
-    from .pool import _init_worker, snapshot_delta
-    _init_worker(fn, payload)    # campaign/serve tasks share this env
+    from .pool import snapshot_delta
+    _init_worker()
     send_lock = threading.Lock()
     hb_muted_until = [0.0]
     stop = threading.Event()

@@ -161,12 +161,11 @@ def freq_point_rungs(chip: str, n_chips: int, cooling: str, *,
                      threshold_c: float | None = None,
                      rotations: tuple[bool, ...] = (),
                      params=None,
-                     injector: FaultInjector | None = None,
-                     share_models: bool = False
+                     injector: FaultInjector | None = None
                      ) -> tuple[Rung, ...]:
     """The thermal ladder for one max-frequency point.
 
-    Rung 0 (``sparse-lu``) by default builds a *fresh* grid
+    Rung 0 (``sparse-lu``) builds a *fresh* grid
     :class:`~repro.thermal.hotspot.ThermalModel` — deliberately not the
     memoized :func:`~repro.thermal.hotspot.model_for`, so a resumed
     campaign provably re-solves nothing for checkpointed points — and
@@ -174,20 +173,16 @@ def freq_point_rungs(chip: str, n_chips: int, cooling: str, *,
     (``analytic``) answers from the closed-form
     :class:`~repro.thermal.analytic.AnalyticStackModel`.
 
-    With ``share_models`` the rung answers through :func:`model_for`
-    instead: the factorization is fetched from the process-wide bounded
-    :class:`~repro.thermal.hotspot.ModelCache` keyed on (chip, stack,
-    rotations, cooling, package), so repeated visits to one geometry —
-    retries, npb+freq grids over the same stacks, pool workers chewing
-    through chunks — reuse the factor instead of re-assembling G. The
-    fault wrapper still wraps the (shared, never-mutated) model, and
-    cache hits/misses surface as ``thermal.model_cache_*`` counters.
+    A fresh model also keeps memory bounded: a cached model would pin
+    its dense response operator beyond the bound of the operator cache.
+    The operator itself is still shared through
+    :func:`~repro.thermal.response.response_cache` and the disk store.
     """
     from ..cooling.options import get_cooling
     from ..power.processors import get_chip
     from ..stack.chipstack import StackConfig
     from ..thermal.analytic import AnalyticStackModel
-    from ..thermal.hotspot import ThermalModel, model_for
+    from ..thermal.hotspot import ThermalModel
     from ..thermal.package import DEFAULT_PACKAGE
     pkg = params if params is not None else DEFAULT_PACKAGE
 
@@ -196,11 +191,7 @@ def freq_point_rungs(chip: str, n_chips: int, cooling: str, *,
                            rotations=rotations)
 
     def sparse_lu():
-        if share_models:
-            model = model_for(chip, n_chips, cooling,
-                              rotations=rotations, params=pkg)
-        else:
-            model = ThermalModel(_stack(), get_cooling(cooling), pkg)
+        model = ThermalModel(_stack(), get_cooling(cooling), pkg)
         if injector is not None and injector.enabled:
             model = FaultyThermalModel(model, injector)
         return _search_max_frequency(model, threshold_c, injector)

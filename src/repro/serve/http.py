@@ -237,10 +237,20 @@ class ServeHTTPServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def serve_in_thread(self) -> threading.Thread:
-        """Run the listener on a daemon thread (tests, benches)."""
-        thread = threading.Thread(target=self.serve_forever,
-                                  kwargs={"poll_interval": 0.05},
-                                  name="serve-http", daemon=True)
+        """Run the listener on a daemon thread (tests, benches).
+
+        The socket is closed as soon as the listener stops (e.g. after
+        ``POST /shutdown``), so later connects are refused at once
+        instead of waiting in the kernel backlog.
+        """
+        def serve() -> None:
+            try:
+                self.serve_forever(poll_interval=0.05)
+            finally:
+                self.server_close()
+
+        thread = threading.Thread(target=serve, name="serve-http",
+                                  daemon=True)
         thread.start()
         return thread
 

@@ -8,14 +8,12 @@ optimizer and the sweep drivers hold onto.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import ConfigurationError
-from ..obs import counter, span
+from ..lru import BoundedLRU
+from ..obs import span
 from ..stack.chipstack import StackConfig
 from .network import ThermalNetwork, ThermalResult
 from .package import (
@@ -208,25 +206,12 @@ class ThermalModel:
         return self.max_temperature_c(f_hz) <= limit + 1e-9
 
 
-class CacheInfo(NamedTuple):
-    """``functools.lru_cache``-style statistics for the model cache."""
+class ModelCache(BoundedLRU):
+    """Bounded LRU of built (factorized) thermal models.
 
-    hits: int
-    misses: int
-    evictions: int
-    maxsize: int
-    currsize: int
-
-
-class ModelCache:
-    """Bounded, thread-safe LRU of built (factorized) thermal models.
-
-    Replaces the old unbounded-in-practice ``functools.lru_cache``: the
-    capacity is explicit and adjustable, and every hit, miss, and
-    eviction is both kept locally (:meth:`cache_info`) and exported
-    through the metrics registry as ``thermal.model_cache_hit`` /
-    ``_miss`` / ``_eviction``, so a sweep's memory behaviour is visible
-    without a debugger.
+    Counters are exported as ``thermal.model_cache_hit`` / ``_miss`` /
+    ``_eviction``, so a sweep's memory behaviour is visible without a
+    debugger.
 
     Args:
         capacity: maximum number of resident models (>= 1). Each entry
@@ -235,66 +220,7 @@ class ModelCache:
     """
 
     def __init__(self, capacity: int = 128) -> None:
-        if capacity < 1:
-            raise ConfigurationError("model cache capacity must be >= 1")
-        self._lock = threading.RLock()
-        self._entries: "OrderedDict[tuple, ThermalModel]" = OrderedDict()
-        self._capacity = capacity
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of resident models."""
-        return self._capacity
-
-    def set_capacity(self, capacity: int) -> None:
-        """Change the bound, evicting LRU entries if now over it."""
-        if capacity < 1:
-            raise ConfigurationError("model cache capacity must be >= 1")
-        with self._lock:
-            self._capacity = capacity
-            self._evict_over_capacity()
-
-    def _evict_over_capacity(self) -> None:
-        while len(self._entries) > self._capacity:
-            self._entries.popitem(last=False)
-            self._evictions += 1
-            counter("thermal.model_cache_eviction").inc()
-
-    def get_or_build(self, key: tuple,
-                     factory: Callable[[], ThermalModel]) -> ThermalModel:
-        """Return the cached model for ``key``, building it on a miss."""
-        with self._lock:
-            model = self._entries.get(key)
-            if model is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                counter("thermal.model_cache_hit").inc()
-                return model
-            self._misses += 1
-            counter("thermal.model_cache_miss").inc()
-            model = factory()
-            self._entries[key] = model
-            self._evict_over_capacity()
-            return model
-
-    def cache_info(self) -> CacheInfo:
-        """Hit/miss/eviction counts and occupancy."""
-        with self._lock:
-            return CacheInfo(hits=self._hits, misses=self._misses,
-                             evictions=self._evictions,
-                             maxsize=self._capacity,
-                             currsize=len(self._entries))
-
-    def clear(self) -> None:
-        """Drop every entry (statistics are kept)."""
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        super().__init__(capacity, metric_prefix="thermal.model_cache")
 
 
 _MODEL_CACHE = ModelCache()

@@ -43,10 +43,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
@@ -54,7 +51,9 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from ..durable import quarantine, write_atomic
 from ..errors import ConfigurationError, ThermalModelError
+from ..lru import BoundedLRU
 from ..obs import canonical_config, config_hash, counter, histogram, \
     log_event, span
 from ..power.mcpat import block_power
@@ -424,12 +423,7 @@ class ResponseStore:
     def _quarantine(self, digest: str, npy: Path, meta_p: Path, *,
                     reason: str) -> None:
         for path in (npy, meta_p):
-            try:
-                if path.exists():
-                    os.replace(path, path.with_suffix(
-                        path.suffix + ".corrupt"))
-            except OSError:
-                pass
+            quarantine(path)
         counter("response.disk_corrupt").inc()
         log_event("response_quarantine", digest=digest[:12],
                   reason=reason)
@@ -446,10 +440,8 @@ class ResponseStore:
         arr = np.ascontiguousarray(op.arr)
         payload = json.dumps(op.meta(), indent=1, sort_keys=True)
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._write_atomic(npy, lambda fh: np.save(fh, arr))
-            self._write_atomic(meta_p,
-                               lambda fh: fh.write(payload.encode()))
+            write_atomic(npy, lambda fh: np.save(fh, arr))
+            write_atomic(meta_p, lambda fh: fh.write(payload.encode()))
         except OSError as exc:
             log_event("response_store_failed", digest=op.digest[:12],
                       error=str(exc))
@@ -457,31 +449,14 @@ class ResponseStore:
         counter("response.disk_store").inc()
         return True
 
-    def _write_atomic(self, target: Path,
-                      write: Callable[[object], None]) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root,
-                                   prefix=target.name + ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                write(fh)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, target)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
-
-class ResponseCache:
+class ResponseCache(BoundedLRU):
     """Bounded in-memory LRU of response operators over the disk store.
 
     Lookup order: memory, then the content-addressed disk store, then
     build (the factory) and write through to both tiers. Every tier
-    transition is metered (``response.cache_hit`` / ``_miss``,
-    ``response.disk_hit`` / ``_miss`` / ``_corrupt``,
+    transition is metered (``response.cache_hit`` / ``_miss`` /
+    ``_eviction``, ``response.disk_hit`` / ``_miss`` / ``_corrupt``,
     ``response.builds``).
 
     The disk directory is read from :data:`STORE_DIR_ENV` at each
@@ -495,29 +470,7 @@ class ResponseCache:
     """
 
     def __init__(self, capacity: int = 8) -> None:
-        if capacity < 1:
-            raise ThermalModelError(
-                "response cache capacity must be >= 1")
-        self._lock = threading.RLock()
-        self._entries: "OrderedDict[str, ResponseOperator]" = OrderedDict()
-        self._capacity = capacity
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of resident operators."""
-        return self._capacity
-
-    def set_capacity(self, capacity: int) -> None:
-        """Change the bound, evicting LRU entries if now over it."""
-        if capacity < 1:
-            raise ThermalModelError(
-                "response cache capacity must be >= 1")
-        with self._lock:
-            self._capacity = capacity
-            self._evict_over_capacity()
+        super().__init__(capacity, metric_prefix="response.cache")
 
     @staticmethod
     def store() -> ResponseStore | None:
@@ -525,28 +478,13 @@ class ResponseCache:
         root = os.environ.get(STORE_DIR_ENV, "")
         return ResponseStore(root) if root else None
 
-    def _evict_over_capacity(self) -> None:
-        while len(self._entries) > self._capacity:
-            self._entries.popitem(last=False)
-            self._evictions += 1
-            counter("response.cache_eviction").inc()
-
     def get_or_build(self, digest: str,
                      factory: Callable[[], ResponseOperator]
                      ) -> ResponseOperator:
         """Resolve a digest through memory -> disk -> build."""
-        with self._lock:
-            op = self._entries.get(digest)
-            if op is not None:
-                self._entries.move_to_end(digest)
-                self._hits += 1
-                counter("response.cache_hit").inc()
-                return op
-            self._misses += 1
-            counter("response.cache_miss").inc()
+        def load_or_build() -> ResponseOperator:
             store = self.store()
-            if store is not None:
-                op = store.load(digest)
+            op = store.load(digest) if store is not None else None
             if op is None:
                 op = factory()
                 if op.digest != digest:
@@ -555,23 +493,9 @@ class ResponseCache:
                         f"{op.digest[:12]}, expected {digest[:12]}")
                 if store is not None:
                     store.store(op)
-            self._entries[digest] = op
-            self._evict_over_capacity()
             return op
 
-    def cache_info(self) -> tuple[int, int, int, int, int]:
-        """(hits, misses, evictions, capacity, currsize)."""
-        with self._lock:
-            return (self._hits, self._misses, self._evictions,
-                    self._capacity, len(self._entries))
-
-    def clear(self) -> None:
-        """Drop every resident operator (statistics are kept)."""
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        return super().get_or_build(digest, load_or_build)
 
 
 _RESPONSE_CACHE = ResponseCache()

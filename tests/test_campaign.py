@@ -119,6 +119,12 @@ class TestCampaignRuns:
         """2 clean points, 1 infeasible (low-power/air/n6, fast grid)."""
         return frequency_grid("low-power-cmp", (2, 6), ("water", "air"))
 
+    def one_fault(self, **kw):
+        """Fault budgets are per point; at this probability and seed
+        the singular fault fires on point 1 (n2/water) only."""
+        return options(FaultSpec("singular", probability=0.1, max_fires=1),
+                       seed=1, **kw)
+
     def test_faulted_grid_completes_with_ledger(self, tmp_path,
                                                 fast_params):
         """Acceptance: a grid with a singular-injected point and an
@@ -127,7 +133,7 @@ class TestCampaignRuns:
         ck = tmp_path / "c.json"
         runner = CampaignRunner(
             self.grid(),
-            resilience=options(FaultSpec("singular", max_fires=1)),
+            resilience=self.one_fault(),
             checkpoint_path=ck, params=fast_params)
         result = runner.run()
         s = result.summary()
@@ -151,8 +157,7 @@ class TestCampaignRuns:
         lands in the failure ledger (previous test)."""
         runner = CampaignRunner(
             self.grid(),
-            resilience=options(FaultSpec("singular", max_fires=1),
-                               allow_degraded=True),
+            resilience=self.one_fault(allow_degraded=True),
             checkpoint_path=tmp_path / "c.json", params=fast_params)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedResultWarning)
@@ -174,6 +179,10 @@ class TestCampaignRuns:
         """Acceptance: resume recomputes nothing for finished points,
         verified by counting sparse solver invocations."""
         from repro.thermal.network import ThermalNetwork
+        from repro.thermal.response import response_cache
+        # earlier tests may have left this grid's operators in memory,
+        # and the first run below must solve from a cold cache
+        response_cache().clear()
         ck = tmp_path / "c.json"
         solves = []
         real_solve = ThermalNetwork.solve
@@ -204,8 +213,7 @@ class TestCampaignRuns:
                                                         fast_params):
         ck = tmp_path / "c.json"
         faulted = CampaignRunner(
-            self.grid(),
-            resilience=options(FaultSpec("singular", max_fires=1)),
+            self.grid(), resilience=self.one_fault(),
             checkpoint_path=ck, params=fast_params).run()
         assert faulted.summary()["failed"] == 1
         retried = CampaignRunner(self.grid(), resilience=options(),

@@ -1,10 +1,10 @@
 """Tests for the parallel execution subsystem (:mod:`repro.parallel`)
 and its integration into campaigns, sweeps, and the frequency search.
 
-The headline invariant: a campaign at ``workers`` 1, 2, and 4 — and
-the legacy serial path — produces identical records, checkpoint bytes
+The headline invariant: a campaign at the default setting and at
+``workers`` 1, 2, and 4 produces identical records, checkpoint bytes
 (after stripping the timestamped manifest), config hash, and failure
-ledger. Everything else here supports that claim: stable seed
+ledger — with and without injected faults. Everything else here supports that claim: stable seed
 derivation, order-preserving chunked execution, batched-vs-bisection
 search equivalence, and worker metrics repatriation.
 """
@@ -288,13 +288,38 @@ def _run(tmp_path, tag, *, workers, params, faults=False,
 
 
 class TestCampaignDeterminism:
-    def test_clean_engine_matches_legacy(self, tmp_path, fast_params):
-        _, legacy, cp0 = _run(tmp_path, "legacy", workers=None,
-                              params=fast_params)
-        _, w1, cp1 = _run(tmp_path, "w1", workers=1, params=fast_params)
-        assert w1.records == legacy.records
-        assert w1.ledger == legacy.ledger
-        assert _stripped_checkpoint(cp1) == _stripped_checkpoint(cp0)
+    @pytest.mark.filterwarnings("ignore::repro.errors.DegradedResultWarning")
+    @pytest.mark.parametrize("faults", [False, True],
+                             ids=["clean", "faulted"])
+    def test_default_matches_every_worker_count(self, tmp_path,
+                                                fast_params, faults):
+        """The default setting runs the same path as any explicit
+        worker count. The faulted grid (``singular:0.3``, seed 1, no
+        retries, degradation allowed) once put point (1, air) on
+        different rungs at the default and at ``workers=1``."""
+        grid = frequency_grid("low-power-cmp", (1, 2, 3), ("water", "air"))
+        results = {}
+        for tag, kw in (("default", {}), ("w1", {"workers": 1}),
+                        ("w2", {"workers": 2})):
+            injector = (FaultInjector((FaultSpec("singular", 0.3),), seed=1)
+                        if faults else None)
+            res = ResilienceOptions(
+                retry_policy=RetryPolicy(seed=1, max_attempts=1),
+                allow_degraded=True, injector=injector,
+                sleep=lambda s: None)
+            cp = tmp_path / f"cp_{tag}.json"
+            result = CampaignRunner(grid, resilience=res,
+                                    params=fast_params,
+                                    checkpoint_path=cp, **kw).run()
+            results[tag] = (result, _stripped_checkpoint(cp))
+        base, base_cp = results["default"]
+        if faults:
+            assert base.summary()["degraded"] >= 1   # faults did fire
+        for tag in ("w1", "w2"):
+            result, cp = results[tag]
+            assert result.records == base.records, tag
+            assert result.ledger == base.ledger, tag
+            assert cp == base_cp, tag
 
     def test_worker_counts_identical(self, tmp_path, fast_params):
         results = {}
@@ -324,11 +349,11 @@ class TestCampaignDeterminism:
             assert cp == base_cp
 
     def test_config_hash_excludes_execution_strategy(self, fast_params):
-        hashes = {
+        hashes = {CampaignRunner(GRID, params=fast_params).config_hash}
+        hashes |= {
             CampaignRunner(GRID, params=fast_params, workers=w,
-                           chunk_size=c, share_models=s).config_hash
-            for w, c, s in ((None, None, None), (1, None, None),
-                            (4, 2, True), (2, 1, False))
+                           chunk_size=c).config_hash
+            for w, c in ((1, None), (4, 2), (2, 1))
         }
         assert len(hashes) == 1
 
@@ -346,20 +371,3 @@ class TestCampaignDeterminism:
     def test_workers_validation(self):
         with pytest.raises(ConfigurationError):
             CampaignRunner(GRID, workers=0)
-
-
-class TestSharedModels:
-    def test_share_models_changes_nothing(self, tmp_path, fast_params):
-        res_fresh = CampaignRunner(
-            GRID, params=fast_params, workers=1,
-            share_models=False).run()
-        res_shared = CampaignRunner(
-            GRID, params=fast_params, workers=1,
-            share_models=True).run()
-        assert res_shared.records == res_fresh.records
-
-    def test_engine_defaults_to_shared(self, fast_params):
-        assert CampaignRunner(GRID, params=fast_params,
-                              workers=1).share_models
-        assert not CampaignRunner(GRID,
-                                  params=fast_params).share_models

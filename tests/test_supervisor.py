@@ -302,9 +302,20 @@ class TestCampaignUnderChaos:
             "campaign.points_quarantined").value
         assert after - before == result.summary()["poison"]
 
-    def test_process_faults_require_workers(self, grid):
-        with pytest.raises(ConfigurationError, match="workers"):
-            CampaignRunner(grid, process_faults=kill_plan(max_fires=1))
+    def test_process_faults_at_default_workers_run_supervised(
+            self, tmp_path, grid):
+        """A fault plan runs the supervised pool even at the default
+        one worker, and the pool recovers every killed worker."""
+        restarts = get_registry().counter("supervisor.restarts").value
+        result = CampaignRunner(
+            grid, resilience=options(), checkpoint_path=tmp_path / "c.json",
+            evaluator=_cheap_eval, chunk_size=1,
+            process_faults=kill_plan(max_fires=1), heartbeat_timeout_s=5.0,
+        ).run()
+        assert result.summary()["ok"] == len(grid)
+        assert result.ledger == ()
+        assert get_registry().counter(
+            "supervisor.restarts").value >= restarts + len(grid)
 
 
 # -- checkpoint integrity and recovery ---------------------------------------

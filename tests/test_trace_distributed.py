@@ -121,19 +121,6 @@ class TestMergedTrace:
         # 2 chunks x (1 chunk span + 2 point spans + 2 solve spans).
         assert after - before == 10
 
-    def test_bare_executor_path_repatriates_too(self, tracer):
-        with tracer.span("test.root"):
-            run_chunked(list(range(4)), _traced_point, None,
-                        config=ParallelConfig(workers=2, chunk_size=2,
-                                              supervised=False))
-        names = [s.name for s in tracer.spans]
-        assert names.count("supervisor.chunk") == 2
-        assert names.count("worker.point") == 4
-        by_id = {s.span_id: s for s in tracer.spans}
-        root = next(s for s in tracer.spans if s.name == "test.root")
-        for s in tracer.spans:
-            assert _chain_to_root(s, by_id) is root
-
     def test_disabled_tracer_ships_and_records_nothing(self):
         tr = get_tracer()
         tr.disable()
