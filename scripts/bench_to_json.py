@@ -105,7 +105,6 @@ from repro.core.campaign import (                    # noqa: E402
     CampaignRunner,
     frequency_grid,
 )
-from repro.thermal.hotspot import model_cache        # noqa: E402
 from repro.thermal.response import (                 # noqa: E402
     DISABLE_ENV,
     STORE_DIR_ENV,
@@ -139,7 +138,6 @@ def _cpu_warning(workers_list) -> str | None:
 
 def _run_campaign(points, *, workers, probe_batch, tmpdir) -> Path:
     """One full campaign from scratch; returns its checkpoint path."""
-    model_cache().clear()
     response_cache().clear()
     checkpoint = Path(tmpdir) / f"cp_w{workers}_b{probe_batch}.json"
     if checkpoint.exists():

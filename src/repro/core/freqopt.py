@@ -164,11 +164,7 @@ def max_frequency_for(stack: StackConfig, cooling: CoolingOption,
                       threshold_c: float | None = None,
                       params: PackageParams = DEFAULT_PACKAGE
                       ) -> OperatingPoint:
-    """Convenience wrapper: build the model, then search.
-
-    Prefer :func:`repro.thermal.model_for` + :func:`max_frequency` inside
-    sweeps so factorizations are cached across calls.
-    """
+    """Convenience wrapper: build the model, then search."""
     model = ThermalModel(stack, cooling, params)
     return max_frequency(model, threshold_c)
 

@@ -81,13 +81,12 @@ class FrequencySeries:
 def _freq_point_task(payload, item) -> float:
     """Pool task: one (cooling, n_chips) max-frequency point.
 
-    Module-level for pickling; workers inherit nothing but the payload,
-    so each process grows its own :class:`~repro.thermal.hotspot.
-    ModelCache` (factors cannot cross a pickle boundary — only results
-    come back). Response *operators* do cross it: with a
-    ``--response-cache-dir`` configured, the first worker to build a
-    geometry's operator persists it to the content-addressed store and
-    every other process mmap-loads it.
+    Module-level for pickling; workers inherit nothing but the payload
+    and build a fresh model per point (only results come back). The
+    geometry's response operator is shared through the bounded
+    in-process cache and, with a ``--response-cache-dir`` configured,
+    across processes: the first worker to build it persists it to the
+    content-addressed store and every other process mmap-loads it.
     """
     chip_name, threshold_c, params = payload
     cooling, n = item

@@ -74,11 +74,12 @@ def register(sub, *, add_obs_flags, add_response_cache) -> None:
     sweep.add_argument("--seeds", type=int, nargs="*", default=None,
                        help="seeds per policy (default: the --seed "
                             "value)")
-    sweep.add_argument("--workers", type=int, default=None, metavar="N",
+    sweep.add_argument("--workers", type=int, default=1, metavar="N",
                        help="evaluate scenarios over N worker processes "
-                            "(default: in-process serial; the campaign "
-                            "document is byte-identical either way)")
-    sweep.add_argument("--chunk-size", type=int, default=None,
+                            "(default 1: in-process; the campaign "
+                            "document is byte-identical at every "
+                            "worker count)")
+    sweep.add_argument("--chunk-size", type=int, default=1,
                        metavar="N", help="scenarios per worker dispatch")
     sweep.add_argument("--out", default=None, metavar="PATH",
                        help="write the canonical campaign JSON there")
@@ -98,9 +99,10 @@ def register(sub, *, add_obs_flags, add_response_cache) -> None:
     chaos.add_argument("--seeds", type=int, nargs="*", default=None,
                        help="seeds per policy (default: the --seed "
                             "value)")
-    chaos.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="evaluate scenarios over N worker processes")
-    chaos.add_argument("--chunk-size", type=int, default=None,
+    chaos.add_argument("--workers", type=int, default=1, metavar="N",
+                       help="evaluate scenarios over N worker processes "
+                            "(default 1: in-process)")
+    chaos.add_argument("--chunk-size", type=int, default=1,
                        metavar="N", help="scenarios per worker dispatch")
     chaos.add_argument("--inject", nargs="*", default=None,
                        metavar="KIND[:PROB[:MAX]]",
@@ -425,7 +427,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
           f"facility faults {'on' if n_faults else 'OFF (all rates 0)'}"
           f", process faults "
           f"{'on' if proc_plan is not None else 'off'}, "
-          f"workers {args.workers or 'serial'}", flush=True)
+          f"workers {args.workers}", flush=True)
     results, poisoned = _split_poisoned(
         run_scenarios(scenarios, workers=args.workers,
                       chunk_size=args.chunk_size,

@@ -75,7 +75,7 @@ from ..parallel import ParallelConfig, run_chunked
 from ..power.processors import get_chip
 from ..thermal.hotspot import model_for
 from .events import Event, EventQueue, canonical_event_line
-from .faults import generate_fault_timeline
+from .faults import FleetFaultPlan, generate_fault_timeline
 from .model import FleetConfig, FleetScenario
 from .policies import BoardView, get_policy
 from .workload import FleetJob, generate_arrivals
@@ -138,9 +138,10 @@ class BoardLadder:
 def build_board_ladder(config: FleetConfig) -> BoardLadder:
     """Solve the ladder once per geometry (response-operator backed).
 
-    One :func:`~repro.thermal.hotspot.model_for` lookup (bounded LRU +
-    the PR-7 content-addressed operator store behind it) answers the
-    whole ladder as matvecs; everything after this is arithmetic.
+    One fresh :func:`~repro.thermal.hotspot.model_for` model resolves
+    the geometry's response operator (bounded in-process cache over the
+    content-addressed store) and answers the whole ladder as matvecs;
+    everything after this is arithmetic.
     """
     chip = get_chip(config.chip)
     model = model_for(config.chip, config.n_chips, config.cooling)
@@ -376,11 +377,14 @@ def _simulate_inner(scenario: FleetScenario,
     heat_cap = cfg.tank_heat_capacity_j_k()
     coupling = cfg.coupling
 
-    # --- fault engine state (scenarios without a plan never touch it,
-    # and every faulted-only branch below is guarded so the fault-free
-    # arithmetic stays byte-for-byte the pre-fault-layer code path) ---
-    plan = scenario.faults
-    faulted = plan is not None
+    # --- fault engine state. One step path serves both kinds of run:
+    # without a plan no fault event ever fires, so every board stays
+    # up, every pump on and every sensor true, and each fault term is
+    # an identity (reading == water, up == bpt, cap_eff == cap_rate,
+    # the same neighbours summed in the same order) — the fault-free
+    # arithmetic is exact, not merely close ---
+    faulted = scenario.faults is not None
+    plan = scenario.faults or FleetFaultPlan()
     if faulted:
         with span("fleet.faults.timeline", boards=n_boards,
                   tanks=n_tanks):
@@ -388,8 +392,7 @@ def _simulate_inner(scenario: FleetScenario,
                                                n_steps * dt)
         for fe in timeline:
             queue.push(Event(fe.time_us, fe.action, fe))
-        trip_water_c = (cfg.effective_threshold_c()
-                        - plan.isolation_margin_c)
+    trip_water_c = cfg.effective_threshold_c() - plan.isolation_margin_c
     board_down = [False] * n_boards
     dead_in_tank = [0] * n_tanks
     pump_ok = [True] * n_tanks
@@ -520,19 +523,14 @@ def _simulate_inner(scenario: FleetScenario,
             continue
 
         # --- per-tank DTM response from step-start water temps -------
-        # Fault-free path: the routine clamp against the true water
-        # temperature. Faulted path: the DTM controller reads the tank
-        # *sensor* (which may be stuck or offset), pump-lost tanks get
-        # an emergency derate margin, and an on-die override clamps
-        # against the true temperature regardless — a lying sensor can
-        # waste performance, never violate the threshold.
+        # The DTM controller reads the tank *sensor* (which may be stuck
+        # or offset), pump-lost tanks get an emergency derate margin,
+        # and an on-die override clamps against the true temperature
+        # regardless — a lying sensor can waste performance, never
+        # violate the threshold.
         f_idx: list[int | None] = [None] * n_tanks
         headroom: list[float] = [0.0] * n_tanks
         for i in range(n_tanks):
-            if not faulted:
-                f_idx[i] = ladder.step_for_water(water[i])
-                headroom[i] = ladder.stall_water_c - water[i]
-                continue
             if (plan.isolate_on_pump_loss and not pump_ok[i]
                     and not isolated[i] and water[i] >= trip_water_c):
                 # runaway response: power the tank off and valve it
@@ -577,7 +575,7 @@ def _simulate_inner(scenario: FleetScenario,
             views: list[BoardView] = []
             slot_of: dict[int, int] = {}
             for b in range(n_boards):
-                if faulted and (board_down[b] or isolated[b // bpt]):
+                if board_down[b] or isolated[b // bpt]:
                     continue     # failed/powered-off boards take no work
                 running = len(boards[b])
                 if running < slots:
@@ -651,11 +649,8 @@ def _simulate_inner(scenario: FleetScenario,
         prev = water[:]
         for i in range(n_tanks):
             idx = f_idx[i]
-            if faulted:
-                up = 0 if isolated[i] else bpt - dead_in_tank[i]
-                down_board_steps += bpt - up
-            else:
-                up = bpt
+            up = 0 if isolated[i] else bpt - dead_in_tank[i]
+            down_board_steps += bpt - up
             if idx is None:
                 active_w = 0.0
                 stalled_steps += up
@@ -667,30 +662,21 @@ def _simulate_inner(scenario: FleetScenario,
             heat_in = it_power * dt
             generated_j += heat_in
             excess = 0.0
-            if faulted:
-                j = i - 1
-                while j >= 0 and isolated[j]:
-                    j -= 1
-                if j >= 0:
-                    excess += max(0.0, prev[j] - supply)
-                j = i + 1
-                while j < n_tanks and isolated[j]:
-                    j += 1
-                if j < n_tanks:
-                    excess += max(0.0, prev[j] - supply)
-            else:
-                if i > 0:
-                    excess += max(0.0, prev[i - 1] - supply)
-                if i < n_tanks - 1:
-                    excess += max(0.0, prev[i + 1] - supply)
+            j = i - 1
+            while j >= 0 and isolated[j]:
+                j -= 1
+            if j >= 0:
+                excess += max(0.0, prev[j] - supply)
+            j = i + 1
+            while j < n_tanks and isolated[j]:
+                j += 1
+            if j < n_tanks:
+                excess += max(0.0, prev[j] - supply)
             inlet_eff = supply + coupling * excess
-            if faulted:
-                if isolated[i] or not pump_ok[i]:
-                    cap_eff = 0.0
-                elif fouled[i]:
-                    cap_eff = cap_rate * plan.fouling_factor
-                else:
-                    cap_eff = cap_rate
+            if isolated[i] or not pump_ok[i]:
+                cap_eff = 0.0
+            elif fouled[i]:
+                cap_eff = cap_rate * plan.fouling_factor
             else:
                 cap_eff = cap_rate
             removed = cap_eff * (prev[i] - inlet_eff) * dt
@@ -698,7 +684,7 @@ def _simulate_inner(scenario: FleetScenario,
             water[i] = prev[i] + (heat_in - removed) / heat_cap
             if water[i] > peak_water[i]:
                 peak_water[i] = water[i]
-            if faulted and up > 0:
+            if up > 0:
                 # worst-case die temperature this step (step-start
                 # water, the same basis as the DTM decision): active
                 # boards shift the ladder's reference hotspot by the
@@ -801,14 +787,14 @@ def _scenario_task(payload: Any, scenario_dict: dict) -> FleetResult:
 
 
 def run_scenarios(scenarios: Sequence[FleetScenario], *,
-                  workers: int | None = None,
-                  chunk_size: int | None = None,
+                  workers: int = 1,
+                  chunk_size: int = 1,
                   fault_plan=None) -> list[FleetResult]:
     """Evaluate a scenario list, optionally on worker processes.
 
     Results come back in scenario order and are byte-identical at
-    every worker count (``--workers {serial,2,4}`` — the campaign
-    engine's standing guarantee plus a deterministic simulator).
+    every worker count (default 1: in-process — the campaign engine's
+    standing guarantee plus a deterministic simulator).
 
     ``fault_plan`` is a *process-level*
     :class:`~repro.resilience.ProcessFaultPlan` (worker kill/hang
@@ -819,8 +805,7 @@ def run_scenarios(scenarios: Sequence[FleetScenario], *,
     :class:`~repro.parallel.Poisoned` markers in the result list.
     """
     items = [s.to_dict() for s in scenarios]
-    config = ParallelConfig(workers=workers if workers else 1,
-                            chunk_size=chunk_size or 1)
+    config = ParallelConfig(workers=workers, chunk_size=chunk_size)
     with span("fleet.campaign", scenarios=len(items),
               workers=config.workers):
         return run_chunked(items, _scenario_task, None, config=config,

@@ -1,13 +1,14 @@
-"""repro.parallel — process-pool execution for sweep/campaign grids.
+"""repro.parallel — chunked execution for sweep/campaign grids.
 
 The paper's figures are grids of *independent* operating points; this
 package supplies the execution substrate that evaluates them in
 parallel without giving up the guarantees the rest of the system makes:
 
-* :mod:`repro.parallel.pool` — a chunked :class:`~concurrent.futures.
-  ProcessPoolExecutor` engine with deterministic result ordering,
-  per-chunk completion hooks (checkpoint granularity), and worker
-  metrics repatriated into the parent registry;
+* :mod:`repro.parallel.pool` — the chunked engine
+  (:func:`run_chunked`): deterministic result ordering, per-chunk
+  completion hooks (checkpoint granularity), chunks inline at one
+  worker or on the supervised pool above it, and worker metrics
+  repatriated into the parent registry;
 * :mod:`repro.parallel.seeds` — SHA-256 seed derivation so every
   point's RNG stream depends only on (campaign seed, point key), never
   on which worker ran it or in what order;

@@ -165,18 +165,12 @@ def freq_point_rungs(chip: str, n_chips: int, cooling: str, *,
                      ) -> tuple[Rung, ...]:
     """The thermal ladder for one max-frequency point.
 
-    Rung 0 (``sparse-lu``) builds a *fresh* grid
-    :class:`~repro.thermal.hotspot.ThermalModel` — deliberately not the
-    memoized :func:`~repro.thermal.hotspot.model_for`, so a resumed
-    campaign provably re-solves nothing for checkpointed points — and
-    wraps it in the fault harness when an injector is active. Rung 1
-    (``analytic``) answers from the closed-form
+    Rung 0 (``sparse-lu``) builds a fresh grid
+    :class:`~repro.thermal.hotspot.ThermalModel` and wraps it in the
+    fault harness when an injector is active; its response operator is
+    shared through :func:`~repro.thermal.response.response_cache` and
+    the disk store. Rung 1 (``analytic``) answers from the closed-form
     :class:`~repro.thermal.analytic.AnalyticStackModel`.
-
-    A fresh model also keeps memory bounded: a cached model would pin
-    its dense response operator beyond the bound of the operator cache.
-    The operator itself is still shared through
-    :func:`~repro.thermal.response.response_cache` and the disk store.
     """
     from ..cooling.options import get_cooling
     from ..power.processors import get_chip

@@ -11,7 +11,7 @@ byte relative to calling the underlying APIs directly.
   (manifest hashing + numeric normalization), jobs with lifecycle
   event logs;
 * :mod:`repro.serve.cache` — bounded TTL result cache layered above
-  the thermal :class:`~repro.thermal.hotspot.ModelCache`;
+  the thermal :class:`~repro.thermal.response.ResponseCache`;
 * :mod:`repro.serve.broker` — priority queue, per-request deadlines,
   bounded admission (structured :class:`~repro.errors.
   OverloadedError` sheds), request coalescing, graceful drain;

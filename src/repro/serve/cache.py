@@ -2,10 +2,10 @@
 
 Keyed by the SHA-256 config hash (:func:`~repro.serve.request.
 spec_hash`) and layered *above* the thermal layer's
-:class:`~repro.thermal.hotspot.ModelCache`: that cache saves the
-sparse-LU factorization of a geometry, this one saves the finished
+:class:`~repro.thermal.response.ResponseCache`: that cache saves the
+response operator of a geometry, this one saves the finished
 :class:`~repro.serve.runner.SpecOutcome`, so a repeated what-if query
-costs a dict lookup instead of even a cached solve.
+costs a dict lookup instead of even a matvec.
 
 Every hit, miss, eviction, and TTL expiry is counted in the metrics
 registry (``serve.cache_*``) and kept locally for

@@ -10,7 +10,7 @@ from .coolants import (
     custom_coolant,
     get_coolant,
 )
-from .hotspot import ModelCache, ThermalModel, model_cache, model_for
+from .hotspot import ThermalModel, model_for
 from .layers import Boundary, GridLayer, Interface, overlap_matrix
 from .maps import MapStats, ascii_map, stack_stats, uniformity_index, vertical_profile
 from .materials import (
@@ -95,8 +95,6 @@ __all__ = [
     "die_layer_names",
     "ThermalModel",
     "model_for",
-    "model_cache",
-    "ModelCache",
     "ResponseOperator",
     "ResponseCache",
     "ResponseStore",

@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..lru import BoundedLRU
 from ..obs import span
 from ..stack.chipstack import StackConfig
 from .network import ThermalNetwork, ThermalResult
@@ -206,47 +205,18 @@ class ThermalModel:
         return self.max_temperature_c(f_hz) <= limit + 1e-9
 
 
-class ModelCache(BoundedLRU):
-    """Bounded LRU of built (factorized) thermal models.
-
-    Counters are exported as ``thermal.model_cache_hit`` / ``_miss`` /
-    ``_eviction``, so a sweep's memory behaviour is visible without a
-    debugger.
-
-    Args:
-        capacity: maximum number of resident models (>= 1). Each entry
-            holds a sparse LU factorization, so the bound is a real
-            memory bound, not bookkeeping.
-    """
-
-    def __init__(self, capacity: int = 128) -> None:
-        super().__init__(capacity, metric_prefix="thermal.model_cache")
-
-
-_MODEL_CACHE = ModelCache()
-
-
-def model_cache() -> ModelCache:
-    """The process-wide model cache behind :func:`model_for`."""
-    return _MODEL_CACHE
-
-
 def model_for(chip_name: str, n_chips: int, cooling_name: str,
               rotations: tuple[bool, ...] = (),
               params: PackageParams = DEFAULT_PACKAGE) -> ThermalModel:
-    """Memoized model lookup for library chips and cooling options.
+    """A fresh model for a library chip and cooling option, by name.
 
-    Sweeps over (chips x coolants x stack heights) revisit configurations
-    constantly; the cache keeps each factorization alive (bounded LRU —
-    see :class:`ModelCache` for capacity control and statistics).
+    Nothing is memoized here: construction is cheap (the network is
+    assembled lazily) and the costly per-geometry state, the response
+    operator, is shared through :func:`~repro.thermal.response.
+    response_cache`, whose bound then holds for every caller.
     """
-    key = (chip_name, n_chips, tuple(rotations), cooling_name, params)
-
-    def build() -> ThermalModel:
-        from ..cooling.options import get_cooling
-        from ..power.processors import get_chip
-        stack = StackConfig(chip=get_chip(chip_name), n_chips=n_chips,
-                            rotations=tuple(rotations))
-        return ThermalModel(stack, get_cooling(cooling_name), params)
-
-    return _MODEL_CACHE.get_or_build(key, build)
+    from ..cooling.options import get_cooling
+    from ..power.processors import get_chip
+    stack = StackConfig(chip=get_chip(chip_name), n_chips=n_chips,
+                        rotations=tuple(rotations))
+    return ThermalModel(stack, get_cooling(cooling_name), params)

@@ -43,17 +43,18 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from ..durable import quarantine, write_atomic
 from ..errors import ConfigurationError, ThermalModelError
-from ..lru import BoundedLRU
 from ..obs import canonical_config, config_hash, counter, histogram, \
     log_event, span
 from ..power.mcpat import block_power
@@ -450,14 +451,30 @@ class ResponseStore:
         return True
 
 
-class ResponseCache(BoundedLRU):
-    """Bounded in-memory LRU of response operators over the disk store.
+class CacheInfo(NamedTuple):
+    """``functools.lru_cache``-style statistics of a :class:`ResponseCache`."""
+
+    hits: int
+    misses: int
+    evictions: int
+    maxsize: int
+    currsize: int
+
+
+class ResponseCache:
+    """Bounded, thread-safe LRU of response operators over the disk store.
+
+    This is the only per-geometry cache: models are cheap to construct
+    (network assembly is lazy), so nothing holds them, and the operator
+    an LRU entry pins is the whole memory cost of a geometry.
 
     Lookup order: memory, then the content-addressed disk store, then
     build (the factory) and write through to both tiers. Every tier
     transition is metered (``response.cache_hit`` / ``_miss`` /
     ``_eviction``, ``response.disk_hit`` / ``_miss`` / ``_corrupt``,
-    ``response.builds``).
+    ``response.builds``) and the memory tier's counts are kept locally
+    for :meth:`cache_info`. A miss loads or builds under the lock, so
+    concurrent misses on one digest build it once.
 
     The disk directory is read from :data:`STORE_DIR_ENV` at each
     lookup (set via :func:`configure`), so forked pool workers and the
@@ -465,12 +482,42 @@ class ResponseCache(BoundedLRU):
     worker that builds an operator warms every other process.
 
     Args:
-        capacity: maximum resident operators (each is a dense array of
-            up to tens of MB, so the bound is a real memory bound).
+        capacity: maximum resident operators (>= 1; each is a dense
+            array of up to tens of MB, so the bound is a real memory
+            bound).
     """
 
     def __init__(self, capacity: int = 8) -> None:
-        super().__init__(capacity, metric_prefix="response.cache")
+        self._check(capacity)
+        self._lock = threading.RLock()
+        self._entries: OrderedDict[str, ResponseOperator] = OrderedDict()
+        self._capacity = capacity
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+
+    @staticmethod
+    def _check(capacity: int) -> None:
+        if capacity < 1:
+            raise ConfigurationError("ResponseCache capacity must be >= 1")
+
+    @property
+    def capacity(self) -> int:
+        """Maximum number of resident operators."""
+        return self._capacity
+
+    def set_capacity(self, capacity: int) -> None:
+        """Change the bound, evicting LRU entries if now over it."""
+        self._check(capacity)
+        with self._lock:
+            self._capacity = capacity
+            self._evict_over_capacity()
+
+    def _evict_over_capacity(self) -> None:
+        while len(self._entries) > self._capacity:
+            self._entries.popitem(last=False)
+            self._evictions += 1
+            counter("response.cache_eviction").inc()
 
     @staticmethod
     def store() -> ResponseStore | None:
@@ -482,7 +529,15 @@ class ResponseCache(BoundedLRU):
                      factory: Callable[[], ResponseOperator]
                      ) -> ResponseOperator:
         """Resolve a digest through memory -> disk -> build."""
-        def load_or_build() -> ResponseOperator:
+        with self._lock:
+            op = self._entries.get(digest)
+            if op is not None:
+                self._entries.move_to_end(digest)
+                self._hits += 1
+                counter("response.cache_hit").inc()
+                return op
+            self._misses += 1
+            counter("response.cache_miss").inc()
             store = self.store()
             op = store.load(digest) if store is not None else None
             if op is None:
@@ -493,9 +548,25 @@ class ResponseCache(BoundedLRU):
                         f"{op.digest[:12]}, expected {digest[:12]}")
                 if store is not None:
                     store.store(op)
+            self._entries[digest] = op
+            self._evict_over_capacity()
             return op
 
-        return super().get_or_build(digest, load_or_build)
+    def cache_info(self) -> CacheInfo:
+        """Hit/miss/eviction counts and occupancy."""
+        with self._lock:
+            return CacheInfo(hits=self._hits, misses=self._misses,
+                             evictions=self._evictions,
+                             maxsize=self._capacity,
+                             currsize=len(self._entries))
+
+    def clear(self) -> None:
+        """Drop every resident operator (statistics are kept)."""
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 _RESPONSE_CACHE = ResponseCache()

@@ -190,12 +190,14 @@ class TestFaultedDeterminism:
 
     @pytest.mark.parametrize("workers", [None, 2, 4])
     def test_worker_count_identity(self, workers):
+        """None runs the default worker count; 2 and 4 must match it."""
         from repro.fleet import results_json, run_scenarios
 
         scenarios = [small_scenario(ALL_FAULTS, policy=p, seed=s)
                      for p in ("thermal-aware", "round-robin")
                      for s in (0, 1)]
-        doc = results_json(run_scenarios(scenarios, workers=workers))
+        kwargs = {} if workers is None else {"workers": workers}
+        doc = results_json(run_scenarios(scenarios, **kwargs))
         if not hasattr(type(self), "_reference"):
             type(self)._reference = doc
         assert doc == type(self)._reference

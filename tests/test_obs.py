@@ -370,7 +370,7 @@ class TestOverhead:
         from repro.core.freqopt import max_frequency
         from repro.power import get_chip
         from repro.stack import StackConfig
-        from repro.thermal import ThermalModel, model_cache, response_cache
+        from repro.thermal import ThermalModel, response_cache
 
         tracer = get_tracer()
         assert not tracer.enabled
@@ -380,7 +380,6 @@ class TestOverhead:
             # answers the whole ladder from the process-global operator
             # cache (sub-ms, zero spans), and the timed run, the traced
             # run, and the 5% bar must all measure the same work.
-            model_cache().clear()
             response_cache().clear()
             model = ThermalModel(
                 StackConfig(chip=get_chip("low-power-cmp"), n_chips=2),

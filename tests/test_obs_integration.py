@@ -3,39 +3,51 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.obs import get_registry, get_tracer, validate_manifest
-from repro.thermal.hotspot import ModelCache, model_cache, model_for
-from repro.thermal.package import DEFAULT_PACKAGE
+from repro.thermal.response import STORE_DIR_ENV, ResponseCache
 
 
 def counter_value(name: str) -> int:
     return get_registry().counter(name).value
 
 
-# -- bounded model cache -----------------------------------------------------
+# -- bounded per-geometry cache ---------------------------------------------
+
+class _FakeOp:
+    """Stands in for a ResponseOperator: the cache only reads ``.digest``."""
+
+    def __init__(self, digest: str, tag: str) -> None:
+        self.digest = digest
+        self.tag = tag
+
 
 class TestModelCache:
+    """The LRU of :class:`ResponseCache`, the one per-geometry cache."""
+
+    @pytest.fixture(autouse=True)
+    def _no_store(self, monkeypatch):
+        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
+
     def test_lru_eviction_order_and_bound(self):
-        cache = ModelCache(capacity=2)
+        cache = ResponseCache(capacity=2)
         built = []
 
-        def factory(tag):
+        def factory(digest, tag):
             def build():
                 built.append(tag)
-                return tag
+                return _FakeOp(digest, tag)
             return build
 
-        cache.get_or_build(("a",), factory("a"))
-        cache.get_or_build(("b",), factory("b"))
-        cache.get_or_build(("a",), factory("a2"))   # hit; refreshes "a"
-        cache.get_or_build(("c",), factory("c"))    # evicts LRU "b"
-        cache.get_or_build(("b",), factory("b2"))   # rebuild
+        cache.get_or_build("a", factory("a", "a"))
+        cache.get_or_build("b", factory("b", "b"))
+        cache.get_or_build("a", factory("a", "a2"))   # hit; refreshes "a"
+        cache.get_or_build("c", factory("c", "c"))    # evicts LRU "b"
+        cache.get_or_build("b", factory("b", "b2"))   # rebuild
         assert built == ["a", "b", "c", "b2"]
         info = cache.cache_info()
         assert info.hits == 1
@@ -44,39 +56,28 @@ class TestModelCache:
         assert info.currsize == 2 == len(cache)
 
     def test_set_capacity_evicts_down(self):
-        cache = ModelCache(capacity=4)
+        cache = ResponseCache(capacity=4)
         for k in range(4):
-            cache.get_or_build((k,), lambda k=k: k)
+            cache.get_or_build(str(k), lambda k=k: _FakeOp(str(k), str(k)))
         cache.set_capacity(1)
         assert len(cache) == 1
         assert cache.cache_info().evictions == 3
         # the survivor is the most recently used
-        assert cache.get_or_build((3,), lambda: "rebuilt") == 3
+        assert cache.get_or_build(
+            "3", lambda: _FakeOp("3", "rebuilt")).tag == "3"
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            ModelCache(capacity=0)
+            ResponseCache(capacity=0)
         with pytest.raises(ConfigurationError):
-            ModelCache(capacity=2).set_capacity(-1)
+            ResponseCache(capacity=2).set_capacity(-1)
 
     def test_clear_keeps_statistics(self):
-        cache = ModelCache(capacity=2)
-        cache.get_or_build(("a",), lambda: 1)
+        cache = ResponseCache(capacity=2)
+        cache.get_or_build("a", lambda: _FakeOp("a", "a"))
         cache.clear()
         assert len(cache) == 0
         assert cache.cache_info().misses == 1
-
-    def test_model_for_exports_hit_miss_counters(self):
-        # a unique params object gives an unpolluted cache key
-        params = replace(DEFAULT_PACKAGE, die_grid=7, package_grid=4)
-        hits0 = counter_value("thermal.model_cache_hit")
-        miss0 = counter_value("thermal.model_cache_miss")
-        a = model_for("low-power-cmp", 1, "water", params=params)
-        b = model_for("low-power-cmp", 1, "water", params=params)
-        assert a is b
-        assert counter_value("thermal.model_cache_miss") == miss0 + 1
-        assert counter_value("thermal.model_cache_hit") == hits0 + 1
-        assert model_cache().capacity >= 1
 
 
 # -- solver / resilience counters -------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from repro.cooling.options import get_cooling
 from repro.power.processors import get_chip
 from repro.stack.chipstack import StackConfig, flip_even_layers
-from repro.thermal.hotspot import ThermalModel, model_for
+from repro.thermal.hotspot import ThermalModel
 from repro.thermal.package import (
     DEFAULT_PACKAGE,
     build_network,
@@ -162,11 +162,6 @@ class TestThermalModel:
 
     def test_meets_threshold(self, lp_water_4):
         assert lp_water_4.meets_threshold(ghz(1.0))
-
-    def test_model_for_cache(self):
-        a = model_for("low-power-cmp", 2, "water")
-        b = model_for("low-power-cmp", 2, "water")
-        assert a is b
 
     def test_energy_balance_full_package(self, lp_water_4):
         pm = lp_water_4.power_maps(ghz(1.5))

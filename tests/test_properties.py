@@ -13,13 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cooling.options import get_cooling
 from repro.floorplan import baseline_16tile, rotate_180
 from repro.floorplan.geometry import Rect
 from repro.perfsim.coherence import DirectoryModel, TransactionKind
 from repro.perfsim.noc.topology import MeshTopology, NodeId
+from repro.power.processors import get_chip
+from repro.stack.chipstack import StackConfig, flip_even_layers
 from repro.thermal.layers import Boundary, GridLayer
 from repro.thermal.materials import SILICON
 from repro.thermal.network import ThermalNetwork
+from repro.thermal.package import DEFAULT_PACKAGE
+from repro.thermal.response import build_response_operator
 
 
 def _network(n=4, h=200.0):
@@ -77,6 +82,38 @@ class TestConductanceMatrix:
         ti = net.solve({"slab": pi}).layer("slab").ravel()
         tj = net.solve({"slab": pj}).layer("slab").ravel()
         assert ti[j] == pytest.approx(tj[i], rel=1e-9)
+
+
+class TestPackageReciprocity:
+    """Reciprocity on the real package network, not only the slab.
+
+    With B the matrix whose columns are the rasterized unit block power
+    maps, the block-to-block response Q = B^T R is B^T G^-1 B restricted
+    to the dies, so a symmetric G makes Q symmetric.
+    """
+
+    @pytest.mark.parametrize("flipped", [False, True])
+    @pytest.mark.parametrize("n_chips", [3, 6])
+    @pytest.mark.parametrize("cooling_name", ["air", "water", "fluorinert"])
+    def test_block_response_is_symmetric(self, cooling_name, n_chips,
+                                         flipped):
+        chip = get_chip("low-power-cmp")
+        stack = (flip_even_layers(chip, n_chips) if flipped
+                 else StackConfig(chip=chip, n_chips=n_chips))
+        op = build_response_operator(stack, get_cooling(cooling_name),
+                                     DEFAULT_PACKAGE)
+        g = DEFAULT_PACKAGE.die_grid
+        fps = stack.die_floorplans()
+        cells = g * g
+        basis = np.zeros((len(fps) * cells, len(fps) * len(fps[0].blocks)))
+        col = 0
+        for i, fp in enumerate(fps):
+            for b in fp.blocks:
+                basis[i * cells:(i + 1) * cells, col] = fp.power_map(
+                    {b.name: 1.0}, g, g).ravel()
+                col += 1
+        q = basis.T @ np.asarray(op.arr)[:, 1:]
+        assert abs(q - q.T).max() <= 1e-12 * abs(q).max()
 
 
 class TestTransformConservation:

@@ -16,6 +16,7 @@ The response operator's contract has three legs, each pinned here:
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import replace
 
@@ -25,18 +26,22 @@ import pytest
 from repro.cooling.options import get_cooling
 from repro.core.campaign import CampaignRunner, frequency_grid
 from repro.core.feedback import solve_with_leakage_feedback
+from repro.core.sweeps import frequency_vs_chips
 from repro.obs import get_registry
 from repro.power.processors import get_chip
 from repro.stack.chipstack import StackConfig, flip_even_layers
 from repro.thermal.hotspot import ThermalModel
+from repro.thermal.package import DEFAULT_PACKAGE
 from repro.thermal.response import (
     DISABLE_ENV,
     STORE_DIR_ENV,
     ResponseCache,
+    ResponseOperator,
     ResponseStore,
     block_power_vector,
     build_response_operator,
     geometry_digest,
+    response_cache,
 )
 
 ALL_COOLINGS = ("air", "water_pipe", "mineral_oil", "fluorinert", "water")
@@ -246,14 +251,40 @@ class TestStore:
         assert cache.cache_info()[0] == hits + 1
 
 
+class TestMemoryBound:
+    def test_sweep_keeps_at_most_capacity_operators_alive(self,
+                                                          monkeypatch):
+        """A sweep holds no models, so the operator cache's bound is the
+        sweep's bound: only resident operators survive it."""
+        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
+        # a unique grid: these digests belong to this test alone
+        params = replace(DEFAULT_PACKAGE, die_grid=5, package_grid=4)
+        chip = get_chip("low-power-cmp")
+        coolings = ("water", "air")
+        chips = (1, 2, 3)
+        digests = {geometry_digest(StackConfig(chip=chip, n_chips=n),
+                                   get_cooling(c), params)
+                   for c in coolings for n in chips}
+        cache = response_cache()
+        prior = cache.capacity
+        cache.set_capacity(2)
+        try:
+            frequency_vs_chips("low-power-cmp", chips, coolings,
+                               params=params)
+            gc.collect()
+            alive = [o for o in gc.get_objects()
+                     if isinstance(o, ResponseOperator)
+                     and o.digest in digests]
+            assert len(alive) <= 2
+        finally:
+            cache.set_capacity(prior)
+
+
 class TestCheckpointByteIdentity:
     """Acceptance: cache on/off and every worker count, same bytes."""
 
     def _run(self, tmp_path, fast_params, name, *, workers,
              store_dir=None):
-        from repro.thermal.hotspot import model_cache
-        from repro.thermal.response import response_cache
-        model_cache().clear()
         response_cache().clear()   # force every run through the store
         points = frequency_grid("low-power-cmp", (1, 2), ("water", "air"))
         ck = tmp_path / f"{name}.json"
